@@ -5,6 +5,12 @@ other pair is priced at the image diagonal, an upper bound on any true
 distance, so the solver can always return a complete assignment. Pairs
 assigned at the bound are not matches; they fall apart into one miss and
 one spurious detection afterwards.
+
+Ties between optima are broken lexicographically by re-solving with one
+cell forced at a time. The optimal dual potentials of the first solve
+rule out every cell with a positive reduced cost, since by complementary
+slackness no optimal assignment uses one, so only the remaining tight
+cells are probed and the result is the same as probing them all.
 """
 
 from __future__ import annotations
@@ -88,16 +94,21 @@ def build_cost_matrix(
 
 def _hungarian(
     cost: Sequence[Sequence[float]], rows: Sequence[int], cols: Sequence[int]
-) -> list[tuple[int, int]]:
-    """Minimum-cost complete assignment on a submatrix.
+) -> tuple[list[tuple[int, int]], dict[int, float], dict[int, float]]:
+    """Minimum-cost complete assignment on a submatrix, with its duals.
 
     Shortest augmenting path formulation with row/column potentials.
     ``rows`` and ``cols`` select the active submatrix; returned pairs use
-    the original indices and are sorted by row.
+    the original indices and are sorted by row. The potentials come back
+    as dicts from original row and column index to value: every pair has
+    zero reduced cost ``cost[r][c] - u[r] - v[c]``, no cell has a negative
+    one, the potentials of the longer side are at most zero, and zero
+    wherever that side is left unassigned, so together they are an optimal
+    dual of the assignment problem.
     """
     n, m = len(rows), len(cols)
     if n == 0 or m == 0:
-        return []
+        return [], {}, {}
     transposed = n > m
     if transposed:
         a = [[cost[r][c] for r in rows] for c in cols]
@@ -152,7 +163,13 @@ def _hungarian(
             else:
                 pairs.append((rows[match[j] - 1], cols[j - 1]))
     pairs.sort()
-    return pairs
+    if transposed:
+        row_pot = {r: v[j] for j, r in enumerate(rows, 1)}
+        col_pot = {c: u[i] for i, c in enumerate(cols, 1)}
+    else:
+        row_pot = {r: u[i] for i, r in enumerate(rows, 1)}
+        col_pot = {c: v[j] for j, c in enumerate(cols, 1)}
+    return pairs, row_pot, col_pot
 
 
 def solve_assignment(matrix: CostMatrix) -> Assignment:
@@ -163,20 +180,35 @@ def solve_assignment(matrix: CostMatrix) -> Assignment:
 def minimize_cost(entries: Sequence[Sequence[float]]) -> Assignment:
     """Canonical minimum-cost maximal assignment of any finite matrix.
 
-    A first solve pins the optimal total and one optimal completion. Rows
-    are then fixed in order: columns smaller than the completion's choice
-    are probed with a reduced solve, and the first one that still reaches
-    the total wins. Totals are compared as exact correctly-rounded sums,
-    so equal multisets of entries always compare equal.
+    A first solve pins the optimal total, one optimal completion and an
+    optimal dual ``(u, v)``. Rows are then fixed in order: columns smaller
+    than the completion's choice are probed with a reduced solve, and the
+    first one that still reaches the total wins. Totals are compared as
+    exact correctly-rounded sums, so equal multisets of entries always
+    compare equal.
+
+    Only columns that are tight under the dual are probed. The dual is
+    feasible (no reduced cost ``entries[r][c] - u[r] - v[c]`` is negative)
+    and the potentials of the longer side are at most zero, zero where the
+    first solve leaves that side unassigned. Any complete assignment that
+    contains a cell therefore costs at least the optimum plus that cell's
+    reduced cost, so by complementary slackness no optimal assignment, with
+    any rows already fixed, uses a cell whose reduced cost is positive, and
+    the probe of such a cell could only fail. The potentials carry float
+    round-off, so a cell counts as tight up to a tolerance of
+    ``1e-9 * (n + m) * max(1, max |entry|)``, many orders of magnitude
+    above that round-off. A looser tolerance would only probe more cells,
+    never change the result.
     """
     n = len(entries)
     m = len(entries[0]) if n else 0
     if n == 0 or m == 0:
         return Assignment(pairs=(), total_cost=0.0)
 
-    base = _hungarian(entries, range(n), range(m))
+    base, u, v = _hungarian(entries, range(n), range(m))
     target = fsum(entries[r][c] for r, c in base)
     k = min(n, m)
+    tolerance = 1e-9 * (n + m) * max(1.0, max(abs(x) for row in entries for x in row))
 
     # invariant: fixed + current reaches the target; current covers rows > r
     current = dict(base)
@@ -191,7 +223,9 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> Assignment:
         for c in free_cols:
             if fallback is not None and c >= fallback:
                 break
-            rest = _hungarian(entries, range(r + 1, n), [x for x in free_cols if x != c])
+            if entries[r][c] - u[r] - v[c] > tolerance:
+                continue  # no optimal assignment uses this cell
+            rest, _, _ = _hungarian(entries, range(r + 1, n), [x for x in free_cols if x != c])
             total = fsum(
                 [entries[rr][cc] for rr, cc in fixed]
                 + [entries[r][c]]

@@ -11,6 +11,7 @@ averaged, which keeps them comparable with single-view tooling.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import fsum
 from typing import Any, Iterable, Sequence
@@ -452,28 +453,19 @@ def idf1(gt: Dataset, pred: Dataset, view: int, alpha: float) -> float | None:
         return None
     gt_ids = sorted({g for g, _ in pos_gt})
     pred_ids = sorted({p for p, _ in pos_pred})
-    frames_gt: dict[str, list[int]] = {}
-    frames_pred: dict[str, list[int]] = {}
-    for g, f in pos_gt:
-        frames_gt.setdefault(g, []).append(f)
-    for p, f in pos_pred:
-        frames_pred.setdefault(p, []).append(f)
+    gt_index = {g: i for i, g in enumerate(gt_ids)}
+    pred_index = {p: j for j, p in enumerate(pred_ids)}
+    preds_at: dict[int, list[tuple[int, float, float]]] = {}
+    for (p, f), (x, y) in pos_pred.items():
+        preds_at.setdefault(f, []).append((pred_index[p], x, y))
 
-    overlap = [
-        [
-            sum(
-                1
-                for f in set(frames_gt[g]) & set(frames_pred[p])
-                if math.hypot(
-                    pos_gt[(g, f)][0] - pos_pred[(p, f)][0],
-                    pos_gt[(g, f)][1] - pos_pred[(p, f)][1],
-                )
-                < alpha
-            )
-            for p in pred_ids
-        ]
-        for g in gt_ids
-    ]
+    # overlap[g][p]: frames where GT g and prediction p lie within alpha
+    overlap = [[0] * len(pred_ids) for _ in gt_ids]
+    for (g, f), (gx, gy) in pos_gt.items():
+        row = overlap[gt_index[g]]
+        for j, px, py in preds_at.get(f, ()):
+            if math.hypot(gx - px, gy - py) < alpha:
+                row[j] += 1
     idtp = 0
     if gt_ids and pred_ids:
         ceiling = float(max(max(row) for row in overlap))
@@ -566,16 +558,23 @@ def evaluate_detailed(
     remapped, id_map = remap_gt_ids(gt)
     pred_ids = assign_temporal_ids(pred, config)
 
-    matches: list[FrameMatch] = []
-    for v in range(n_views):
-        for f in range(n_frames):
-            matches.append(
-                match_frame(remapped.at(v, f), pred_ids.at(v, f), config, dims, v, f)
-            )
-
-    tp_instances: list[TpInstance] = [
-        (m.view, m.frame, g, p, d) for m in matches for g, p, d in m.tp_pairs
+    # per-view lists, in (view, frame) order, so the per-view scores below
+    # need no rescans of the pooled ones
+    view_matches: list[list[FrameMatch]] = [
+        [
+            match_frame(remapped.at(v, f), pred_ids.at(v, f), config, dims, v, f)
+            for f in range(n_frames)
+        ]
+        for v in range(n_views)
     ]
+    view_tp: list[list[TpInstance]] = [
+        [(m.view, m.frame, g, p, d) for m in row for g, p, d in m.tp_pairs]
+        for row in view_matches
+    ]
+    view_gt_total = Counter(p.view for p in remapped.points)
+    view_pred_total = Counter(p.view for p in pred_ids.points)
+    matches: list[FrameMatch] = [m for row in view_matches for m in row]
+    tp_instances: list[TpInstance] = [t for row in view_tp for t in row]
 
     det = tally_detections(matches)
     det_scores = detection_scores(det)
@@ -594,14 +593,11 @@ def evaluate_detailed(
 
     per_view: list[PerViewScores] = []
     for v in range(n_views):
-        v_matches = [m for m in matches if m.view == v]
-        v_det = tally_detections(v_matches)
-        v_gt_total = sum(1 for p in remapped.points if p.view == v)
-        v_pred_total = sum(1 for p in pred_ids.points if p.view == v)
-        if v_gt_total + v_pred_total == 0:
+        v_det = tally_detections(view_matches[v])
+        v_gt_total = view_gt_total[v]
+        if v_gt_total + view_pred_total[v] == 0:
             continue
-        v_tp = [t for t in tp_instances if t[0] == v]
-        v_ass = association_accuracy(v_tp, ass_tally, config.zero_tp_policy)
+        v_ass = association_accuracy(view_tp[v], ass_tally, config.zero_tp_policy)
         v_scores = detection_scores(v_det)
         per_view.append(
             PerViewScores(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvteval import evaluate, matching, metrics
 from mvteval.core import Dataset, EvalConfig, Point, Role
 from mvteval.matching import (
     assign_temporal_ids,
@@ -18,6 +19,7 @@ from mvteval.matching import (
     minimize_cost,
     solve_assignment,
 )
+from mvteval.synth import SynthConfig, generate
 from oracles import all_optimal_assignments, min_cost_assignment_by_permutations
 
 CONFIG = EvalConfig(alpha=6.0)
@@ -125,6 +127,64 @@ def test_solver_returns_lexicographically_smallest_optimum(rows):
     best, optima = all_optimal_assignments(mat)
     assert got.total_cost == best
     assert got.pairs == optima[0]
+
+
+@st.composite
+def grid_points(draw):
+    # a coarse integer grid: many equal distances, many bound-priced cells
+    n = draw(st.integers(1, 6))
+    coords = st.integers(0, 4).map(lambda k: 2 * k)
+    return [pt(draw(coords), draw(coords)) for _ in range(n)]
+
+
+@given(grid_points(), grid_points(), st.sampled_from([1.5, 2.5, 4.5]))
+@settings(max_examples=300, deadline=None)
+def test_solver_lexicographic_on_tie_heavy_grid_matrices(gts, preds, alpha):
+    mat = build_cost_matrix(gts, preds, alpha, DIMS).entries
+    best, optima = all_optimal_assignments(mat)
+    got = minimize_cost(mat)
+    assert got.total_cost == best
+    assert got.pairs == optima[0]
+
+
+@pytest.mark.parametrize("strip_ids", [False, True])
+def test_tie_break_probes_stay_few(monkeypatch, strip_ids):
+    # the tie-break loop only probes cells that are tight under the first
+    # solve's duals; without that pruning these scenes average 27-88
+    # solves per minimize_cost call
+    calls = {"solves": 0, "minimize": 0}
+    hungarian, minimize = matching._hungarian, matching.minimize_cost
+
+    def counted_hungarian(*args):
+        calls["solves"] += 1
+        return hungarian(*args)
+
+    def counted_minimize(*args):
+        calls["minimize"] += 1
+        return minimize(*args)
+
+    monkeypatch.setattr(matching, "_hungarian", counted_hungarian)
+    monkeypatch.setattr(matching, "minimize_cost", counted_minimize)
+    monkeypatch.setattr(metrics, "minimize_cost", counted_minimize)
+    for seed in (1, 2, 3):
+        gt, pred = generate(
+            SynthConfig(
+                n_views=2,
+                n_frames=10,
+                n_points=20,
+                pred_noise_sigma=1.5,
+                pred_miss_rate=0.1,
+                pred_fp_rate=0.5,
+                view_drop_prob=0.15,
+                id_switch_prob=0.02,
+                seed=seed,
+            )
+        )
+        if strip_ids:
+            pred = pred.with_points(pt(p.x, p.y, view=p.view, frame=p.frame) for p in pred.points)
+        evaluate(gt, pred)
+    assert calls["minimize"] > 0
+    assert calls["solves"] / calls["minimize"] <= 8
 
 
 def test_solver_tie_between_bound_and_real_pairs():
