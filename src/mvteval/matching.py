@@ -11,6 +11,11 @@ cell forced at a time. The optimal dual potentials of the first solve
 rule out every cell with a positive reduced cost, since by complementary
 slackness no optimal assignment uses one, so only the remaining tight
 cells are probed and the result is the same as probing them all.
+
+Most thresholded matrices need no solver at all: when no two within-radius
+cells share a row or a column, those cells are in every optimum and every
+other cell costs exactly the bound, so ``solve_assignment`` writes the
+canonical assignment down directly (see its docstring for the argument).
 """
 
 from __future__ import annotations
@@ -173,8 +178,58 @@ def _hungarian(
 
 
 def solve_assignment(matrix: CostMatrix) -> Assignment:
-    """Solve a cost matrix to the canonical minimum-cost assignment."""
-    return minimize_cost(matrix.entries)
+    """Solve a cost matrix to the canonical minimum-cost assignment.
+
+    ``build_cost_matrix`` makes every cell either a distance ``d < alpha``
+    or exactly the bound ``B``. When every other cell lies more than the
+    tolerance ``1e-9 * (n + m) * max(1, B)`` of ``minimize_cost`` below
+    ``B`` and no two of them share a row or a column, the result is written
+    down without a solve; otherwise ``minimize_cost`` decides. The closed
+    form is exactly what ``minimize_cost`` returns:
+
+    1. Every optimum contains every such cell ``(r, c)``. Take a complete
+       assignment without it, pair ``r`` with ``c`` and pair their old
+       partners with each other. The cells given up cost ``B``, since row
+       ``r`` and column ``c`` hold no other cell below ``B``, and the new
+       cell between the old partners costs at most ``B``. The cost changes
+       by ``d - B`` if only one of ``r`` and ``c`` had a partner and by at
+       most ``d + B - 2B`` if both did. Both are negative.
+    2. Every other cell equals ``B`` exactly, so every completion of these
+       forced cells has the same multiset of entries and the same ``fsum``.
+       All completions tie, and the lexicographically smallest one fills
+       the rows in order, each row without a forced cell taking the
+       smallest column that is neither forced nor taken, while one remains.
+    3. The gap ``B - d`` exceeds the tolerance, which is far above one ulp
+       of the total, so the exact ``fsum`` comparisons of ``minimize_cost``
+       separate the same totals.
+    """
+    entries, bound = matrix.entries, matrix.diagonal_bound
+    n, m = matrix.n_rows, matrix.n_cols
+    below = bound - 1e-9 * (n + m) * max(1.0, bound)
+    forced: dict[int, int] = {}  # row -> its only cell below the bound
+    taken: set[int] = set()
+    for r, row in enumerate(entries):
+        unbounded = m - row.count(bound)
+        if unbounded == 0:
+            continue
+        d = min(row)
+        c = row.index(d)
+        if unbounded > 1 or d >= below or c in taken:
+            return minimize_cost(entries)
+        forced[r] = c
+        taken.add(c)
+    free = (c for c in range(m) if c not in taken)
+    pairs = []
+    for r in range(n):
+        c = forced.get(r)
+        if c is None:
+            c = next(free, None)
+            if c is None:
+                continue
+        pairs.append((r, c))
+    return Assignment(
+        pairs=tuple(pairs), total_cost=fsum(entries[r][c] for r, c in pairs)
+    )
 
 
 def minimize_cost(entries: Sequence[Sequence[float]]) -> Assignment:
@@ -257,6 +312,8 @@ def match_frame(
 
     Assigned pairs within the radius become true positives; pairs forced
     to the diagonal bound split into one miss and one false detection.
+    Distances are read back from the cost matrix, which holds the true
+    distance of every pair below the radius.
     """
     matrix = build_cost_matrix(gt_points, pred_points, config.alpha, image_dims)
     assignment = solve_assignment(matrix)
@@ -264,10 +321,14 @@ def match_frame(
     tp_cols: set[int] = set()
     tp_pairs: list[tuple[str, str, float]] = []
     for r, c in assignment.pairs:
-        g, p = gt_points[r], pred_points[c]
-        d = math.hypot(g.x - p.x, g.y - p.y)
+        d = matrix.entries[r][c]
+        if d == matrix.diagonal_bound and d < config.alpha:
+            # a radius beyond the diagonal: only points outside the image
+            # can be farther apart than the bound they are priced at
+            g, p = gt_points[r], pred_points[c]
+            d = math.hypot(g.x - p.x, g.y - p.y)
         if d < config.alpha:
-            tp_pairs.append((g.id, p.id, d))
+            tp_pairs.append((gt_points[r].id, pred_points[c].id, d))
             tp_rows.add(r)
             tp_cols.add(c)
     fn_ids = tuple(g.id for i, g in enumerate(gt_points) if i not in tp_rows)
@@ -292,12 +353,10 @@ class TrackRegistry:
     def __init__(self, view: int):
         self.view = view
         self.positions: dict[str, tuple[float, float]] = {}
-        self.last_frame: dict[str, int] = {}
         self._counter = 0
 
-    def observe(self, track_id: str, x: float, y: float, frame: int) -> None:
+    def observe(self, track_id: str, x: float, y: float) -> None:
         self.positions[track_id] = (x, y)
-        self.last_frame[track_id] = frame
 
     def fresh_id(self, reserved: set[str]) -> str:
         while True:
@@ -357,7 +416,7 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
             for i in idx:
                 p = pred.points[i]
                 track_id = p.id if p.id is not None else new_ids[i]
-                registry.observe(track_id, p.x, p.y, frame)
+                registry.observe(track_id, p.x, p.y)
 
     return pred.with_points(
         p if p.id is not None else Point(

@@ -147,25 +147,90 @@ def test_solver_lexicographic_on_tie_heavy_grid_matrices(gts, preds, alpha):
     assert got.pairs == optima[0]
 
 
+@st.composite
+def mixed_points(draw):
+    # coarse-grid points tie often; uniform points and far false positives
+    # near (90, 90) leave many rows and columns with no cell below alpha
+    grid = st.integers(0, 4).map(lambda k: 2.0 * k)
+    kinds = st.sampled_from([grid, grid, st.floats(0, 100), st.floats(85, 100)])
+    points = []
+    for _ in range(draw(st.integers(0, 8))):
+        coords = draw(kinds)
+        points.append(pt(draw(coords), draw(coords)))
+    return points
+
+
+@given(
+    mixed_points(),
+    mixed_points(),
+    # the last radius exceeds the 141.4 px diagonal: every cell is a distance
+    st.sampled_from([1.5, 2.5, 4.5, 30.0, 150.0]),
+)
+@settings(max_examples=400, deadline=None)
+def test_solve_assignment_equals_the_solver_on_thresholded_matrices(gts, preds, alpha):
+    mat = build_cost_matrix(gts, preds, alpha, DIMS)
+    got = solve_assignment(mat)
+    want = minimize_cost(mat.entries)
+    assert got.pairs == want.pairs
+    assert got.total_cost == want.total_cost
+    if len(gts) <= 6 and len(preds) <= 6:
+        assert got.pairs == all_optimal_assignments(mat.entries)[1][0]
+
+
+def test_solve_assignment_leaves_cells_just_below_the_bound_to_the_solver():
+    # one ulp below the bound, the within-alpha cell's total rounds to the
+    # all-bound total, so the tie goes to the lexicographically smaller pairs
+    bound = math.hypot(*DIMS)
+    near = math.nextafter(bound, 0)
+    entries = ((bound, near), (bound, bound))
+    got = solve_assignment(matching.CostMatrix(entries, alpha=200.0, diagonal_bound=bound))
+    assert got == minimize_cost(entries)
+    assert got.pairs == ((0, 0), (1, 1))
+
+
+def count_solves(monkeypatch):
+    """Count Hungarian solves, minimize_cost calls and match_frame calls."""
+    calls = {"solves": 0, "minimize": 0, "frames": 0}
+    hungarian, minimize, frame = matching._hungarian, matching.minimize_cost, metrics.match_frame
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(matching, "_hungarian", counted("solves", hungarian))
+    monkeypatch.setattr(matching, "minimize_cost", counted("minimize", minimize))
+    monkeypatch.setattr(metrics, "minimize_cost", counted("minimize", minimize))
+    monkeypatch.setattr(metrics, "match_frame", counted("frames", frame))
+    return calls
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_conflict_free_frame_needs_no_solve(monkeypatch, swap):
+    calls = count_solves(monkeypatch)
+    gts = [pt(10, 10, "a"), pt(40, 10, "b"), pt(10, 40, "c"), pt(60, 60, "missed")]
+    preds = [pt(41, 11, "q"), pt(90, 90, "fp"), pt(12, 10, "p"), pt(10, 43, "r")]
+    if swap:
+        gts, preds = preds, gts
+    m = match_frame(gts, preds, CONFIG, DIMS)
+    assert calls["solves"] == 0
+    assert m.tp == 3
+    assert {frozenset(pair[:2]) for pair in m.tp_pairs} == {
+        frozenset("ap"), frozenset("bq"), frozenset("cr")
+    }
+    assert set(m.fn_ids) | set(m.fp_ids) == {"missed", "fp"}
+
+
 @pytest.mark.parametrize("strip_ids", [False, True])
 def test_tie_break_probes_stay_few(monkeypatch, strip_ids):
     # the tie-break loop only probes cells that are tight under the first
     # solve's duals; without that pruning these scenes average 27-88
-    # solves per minimize_cost call
-    calls = {"solves": 0, "minimize": 0}
-    hungarian, minimize = matching._hungarian, matching.minimize_cost
-
-    def counted_hungarian(*args):
-        calls["solves"] += 1
-        return hungarian(*args)
-
-    def counted_minimize(*args):
-        calls["minimize"] += 1
-        return minimize(*args)
-
-    monkeypatch.setattr(matching, "_hungarian", counted_hungarian)
-    monkeypatch.setattr(matching, "minimize_cost", counted_minimize)
-    monkeypatch.setattr(metrics, "minimize_cost", counted_minimize)
+    # solves per minimize_cost call. Conflict-free frames need no solve at
+    # all; without that shortcut these scenes average 2.8-3.8 solves per
+    # match_frame call, linker and IDF1 solves included
+    calls = count_solves(monkeypatch)
     for seed in (1, 2, 3):
         gt, pred = generate(
             SynthConfig(
@@ -185,6 +250,7 @@ def test_tie_break_probes_stay_few(monkeypatch, strip_ids):
         evaluate(gt, pred)
     assert calls["minimize"] > 0
     assert calls["solves"] / calls["minimize"] <= 8
+    assert calls["solves"] / calls["frames"] <= 1
 
 
 def test_solver_tie_between_bound_and_real_pairs():
@@ -219,6 +285,17 @@ def test_match_frame_prefers_closest_prediction():
     )
     assert m.tp_pairs == (("g", "near", 2.0),)
     assert m.fp_ids == ("far",)
+
+
+def test_match_frame_radius_beyond_the_diagonal():
+    # opposite corners sit exactly one diagonal apart, a true distance below
+    # this radius; a point outside the image is farther than the bound
+    config = EvalConfig(alpha=200.0)
+    corner = match_frame([pt(0, 0, "g")], [pt(100, 100, "p")], config, DIMS)
+    assert corner.tp_pairs == (("g", "p", math.hypot(*DIMS)),)
+    outside = match_frame([pt(0, 0, "g")], [pt(300, 0, "p")], config, DIMS)
+    assert outside.tp_pairs == ()
+    assert outside.fn_ids == ("g",) and outside.fp_ids == ("p",)
 
 
 def test_match_frame_empty_inputs():
