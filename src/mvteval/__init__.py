@@ -29,6 +29,7 @@ from .matching import (
 from .metrics import (
     MetricReport,
     OcclusionReport,
+    Scene,
     evaluate,
     evaluate_detailed,
     hota,
@@ -49,6 +50,7 @@ __all__ = [
     "OcclusionReport",
     "Point",
     "Role",
+    "Scene",
     "SynthConfig",
     "TrackRegistry",
     "ValidationReport",

@@ -25,7 +25,7 @@ from .core import (
     serialize_dataset,
     validate_pair,
 )
-from .metrics import evaluate_detailed, occlusion_index
+from .metrics import Scene, evaluate_detailed, occlusion_index
 from .synth import SynthConfig, generate
 
 _SWEEP_KEYS = ("mota", "idf1", "f1", "det_acc", "ass_acc", "hota", "corres_acc", "mv_hota", "loc_acc")
@@ -145,7 +145,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    result = evaluate_detailed(gt, pred, config)
+    # every radius, the headline's and the sweep's, is scored on one scene
+    scene = Scene(gt, pred, max([config.alpha, *sweep_alphas]))
+    result = evaluate_detailed(gt, pred, config, scene=scene)
     report = result.report
 
     if args.dump_matches:
@@ -174,7 +176,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     sweep_rows: list[dict[str, Any]] = []
     for alpha in sweep_alphas:
         sweep_config = EvalConfig(alpha=alpha, per_class=args.per_class)
-        sweep_report = evaluate_detailed(gt, pred, sweep_config).report
+        sweep_report = evaluate_detailed(gt, pred, sweep_config, scene=scene).report
         row: dict[str, Any] = {"alpha": alpha}
         row.update({key: getattr(sweep_report, key) for key in _SWEEP_KEYS})
         sweep_rows.append(row)

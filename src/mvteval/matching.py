@@ -30,10 +30,9 @@ from .core import Dataset, EvalConfig, Point, Role
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Rectangular cost matrix with its threshold bookkeeping."""
+    """Rectangular cost matrix and the bound its out-of-radius cells hold."""
 
     entries: tuple[tuple[float, ...], ...]
-    alpha: float
     diagonal_bound: float
 
     @property
@@ -73,6 +72,24 @@ class FrameMatch:
         return len(self.tp_pairs)
 
 
+def near_pairs(
+    points_a: Sequence[Point], points_b: Sequence[Point], alpha: float
+) -> list[tuple[float, int, int]]:
+    """Every pair closer than ``alpha`` as (distance, index in a, index in b).
+
+    Pairs come in row-major order. The distance is
+    ``math.hypot(a.x - b.x, a.y - b.y)``, the value the cost matrix holds.
+    """
+    pairs = []
+    for r, a in enumerate(points_a):
+        ax, ay = a.x, a.y
+        for c, b in enumerate(points_b):
+            d = math.hypot(ax - b.x, ay - b.y)
+            if d < alpha:
+                pairs.append((d, r, c))
+    return pairs
+
+
 def build_cost_matrix(
     points_a: Sequence[Point],
     points_b: Sequence[Point],
@@ -86,15 +103,20 @@ def build_cost_matrix(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
+    return _thresholded(
+        len(points_a), len(points_b), near_pairs(points_a, points_b, alpha), image_dims
+    )
+
+
+def _thresholded(
+    n: int, m: int, pairs: Sequence[tuple[float, int, int]], image_dims: tuple[int, int]
+) -> CostMatrix:
+    """The n x m cost matrix holding ``pairs`` and the image diagonal elsewhere."""
     bound = math.hypot(image_dims[0], image_dims[1])
-    rows = []
-    for a in points_a:
-        row = []
-        for b in points_b:
-            d = math.hypot(a.x - b.x, a.y - b.y)
-            row.append(d if d < alpha else bound)
-        rows.append(tuple(row))
-    return CostMatrix(entries=tuple(rows), alpha=alpha, diagonal_bound=bound)
+    rows = [[bound] * m for _ in range(n)]
+    for d, r, c in pairs:
+        rows[r][c] = d
+    return CostMatrix(entries=tuple(map(tuple, rows)), diagonal_bound=bound)
 
 
 def _hungarian(
@@ -263,7 +285,7 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> Assignment:
     base, u, v = _hungarian(entries, range(n), range(m))
     target = fsum(entries[r][c] for r, c in base)
     k = min(n, m)
-    tolerance = 1e-9 * (n + m) * max(1.0, max(abs(x) for row in entries for x in row))
+    tolerance = 1e-9 * (n + m) * max(1.0, max(max(map(abs, row)) for row in entries))
 
     # invariant: fixed + current reaches the target; current covers rows > r
     current = dict(base)
@@ -307,27 +329,28 @@ def match_frame(
     image_dims: tuple[int, int],
     view: int = 0,
     frame: int = 0,
+    pairs: Sequence[tuple[float, int, int]] | None = None,
 ) -> FrameMatch:
     """Match one frame's ground truth against its predictions.
 
     Assigned pairs within the radius become true positives; pairs forced
     to the diagonal bound split into one miss and one false detection.
-    Distances are read back from the cost matrix, which holds the true
-    distance of every pair below the radius.
+    A caller that already holds the frame's within-radius pairs, as
+    ``near_pairs`` gives them and in any order, passes them as ``pairs``;
+    ``config.alpha`` then goes unused. Each true positive keeps its pair's
+    distance, which is the true one even where the radius exceeds the
+    image diagonal and a pair lies farther apart than the bound.
     """
-    matrix = build_cost_matrix(gt_points, pred_points, config.alpha, image_dims)
-    assignment = solve_assignment(matrix)
+    if pairs is None:
+        pairs = near_pairs(gt_points, pred_points, config.alpha)
+    matrix = _thresholded(len(gt_points), len(pred_points), pairs, image_dims)
+    near = {(r, c): d for d, r, c in pairs}
     tp_rows: set[int] = set()
     tp_cols: set[int] = set()
     tp_pairs: list[tuple[str, str, float]] = []
-    for r, c in assignment.pairs:
-        d = matrix.entries[r][c]
-        if d == matrix.diagonal_bound and d < config.alpha:
-            # a radius beyond the diagonal: only points outside the image
-            # can be farther apart than the bound they are priced at
-            g, p = gt_points[r], pred_points[c]
-            d = math.hypot(g.x - p.x, g.y - p.y)
-        if d < config.alpha:
+    for r, c in solve_assignment(matrix).pairs:
+        d = near.get((r, c))
+        if d is not None:
             tp_pairs.append((gt_points[r].id, pred_points[c].id, d))
             tp_rows.add(r)
             tp_cols.add(c)

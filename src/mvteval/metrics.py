@@ -11,8 +11,10 @@ averaged, which keeps them comparable with single-view tooling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import fsum
 from typing import Any, Iterable, Sequence
 
@@ -23,6 +25,7 @@ from .matching import (
     assign_temporal_ids,
     match_frame,
     minimize_cost,
+    near_pairs,
 )
 
 # One matched true positive: (view, frame, gt id, pred id, distance).
@@ -64,6 +67,15 @@ class AssTally:
     gt_frames: dict[tuple[int, str], int]
     pred_frames: dict[tuple[int, str], int]
 
+    def terms(self, view: int, gt_id: str, pred_id: str) -> tuple[int, int, int]:
+        """(TPA, FNA, FPA) of one true positive."""
+        tpa = self.pair_frames[(view, gt_id, pred_id)]
+        return (
+            tpa,
+            self.gt_frames[(view, gt_id)] - tpa,
+            self.pred_frames[(view, pred_id)] - tpa,
+        )
+
     def tpa(self, view: int, gt_id: str, pred_id: str) -> int:
         return self.pair_frames[(view, gt_id, pred_id)]
 
@@ -74,10 +86,8 @@ class AssTally:
         return self.pred_frames[(view, pred_id)] - self.tpa(view, gt_id, pred_id)
 
     def score(self, view: int, gt_id: str, pred_id: str) -> float:
-        tpa = self.tpa(view, gt_id, pred_id)
-        return tpa / (
-            tpa + self.fna(view, gt_id, pred_id) + self.fpa(view, gt_id, pred_id)
-        )
+        tpa, fna, fpa = self.terms(view, gt_id, pred_id)
+        return tpa / (tpa + fna + fpa)
 
 
 @dataclass(frozen=True)
@@ -330,15 +340,33 @@ def build_association_tally(
     return AssTally(pair_frames=pair_frames, gt_frames=gt_frames, pred_frames=pred_frames)
 
 
-def association_accuracy(
-    tp_instances: Sequence[TpInstance], tally: AssTally, zero_tp_policy: float = 0.0
-) -> float:
-    """Mean per-true-positive association Jaccard over the pooled TP set."""
-    if not tp_instances:
-        return zero_tp_policy
-    return fsum(tally.score(v, g, p) for v, _, g, p, _ in tp_instances) / len(
-        tp_instances
-    )
+def _mean(values: Sequence[float], empty: float) -> float:
+    return fsum(values) / len(values) if values else empty
+
+
+def _association(
+    view_tp: Sequence[Sequence[TpInstance]], tally: AssTally, zero_tp_policy: float
+) -> tuple[float, list[float], tuple[int, int, int]]:
+    """Pooled and per-view association accuracy, and the summed (TPA, FNA, FPA).
+
+    Each true positive's Jaccard is computed once and serves both means.
+    """
+    tpa = fna = fpa = 0
+    view_scores: list[list[float]] = []
+    for row in view_tp:
+        scores = []
+        for v, _, g, p, _ in row:
+            tp_a, fn_a, fp_a = tally.terms(v, g, p)
+            scores.append(tp_a / (tp_a + fn_a + fp_a))
+            tpa, fna, fpa = tpa + tp_a, fna + fn_a, fpa + fp_a
+        view_scores.append(scores)
+    pooled = _mean([x for row in view_scores for x in row], zero_tp_policy)
+    return pooled, [_mean(row, zero_tp_policy) for row in view_scores], (tpa, fna, fpa)
+
+
+def presence(dataset: Dataset) -> set[tuple[int, int, str | None]]:
+    """(view, frame, id) of every point of a dataset."""
+    return {(p.view, p.frame, p.id) for p in dataset.points}
 
 
 def classify_correspondence(
@@ -348,6 +376,9 @@ def classify_correspondence(
     pred: Dataset,
     id_map: IdMap | None = None,
     n_views: int | None = None,
+    *,
+    gt_present: set[tuple[int, int, str | None]] | None = None,
+    pred_present: set[tuple[int, int, str | None]] | None = None,
 ) -> CorresTally:
     """Classify each true positive against every other view of its frame.
 
@@ -357,14 +388,18 @@ def classify_correspondence(
     prediction identity showing up anyway is a false positive
     correspondence; its absence is (vacuously) correct. Single-view data
     therefore yields empty triples, scored as fully corresponded.
+    ``gt_present`` and ``pred_present`` may pass in ``presence(gt)`` and
+    ``presence(pred)`` when the caller already holds them.
     """
     n_views = n_views if n_views is not None else gt.n_views
 
     def to_global(view: int, local: str) -> str:
         return id_map.global_id(view, int(local)) if id_map is not None else local
 
-    gt_present = {(p.view, p.frame, p.id) for p in gt.points}
-    pred_present = {(p.view, p.frame, p.id) for p in pred.points}
+    if gt_present is None:
+        gt_present = presence(gt)
+    if pred_present is None:
+        pred_present = presence(pred)
     tp_gt = set()
     for m in matches:
         for g, _, _ in m.tp_pairs:
@@ -433,46 +468,50 @@ def count_id_switches(matches: Iterable[FrameMatch]) -> dict[int, int]:
     return switches
 
 
-def idf1(gt: Dataset, pred: Dataset, view: int, alpha: float) -> float | None:
+def idf1(
+    gt: Dataset,
+    pred: Dataset,
+    view: int,
+    alpha: float,
+    pairs: Sequence[Sequence[tuple[float, int, int]]] | None = None,
+) -> float | None:
     """Trajectory-level identity F1 for one view.
 
     Ground-truth and prediction identities are paired one-to-one to
     maximise the number of frames where both lie within the detection
     radius; that count is IDTP and the remaining observations are identity
-    errors.
+    errors. A caller that already holds the view's within-``alpha`` pairs
+    passes them as ``pairs``, indexed by frame, each list as ``near_pairs``
+    gives it for ``gt.at(view, frame)`` and ``pred.at(view, frame)``.
     """
-    pos_gt: dict[tuple[str, int], tuple[float, float]] = {}
-    pos_pred: dict[tuple[str, int], tuple[float, float]] = {}
-    for p in gt.points:
-        if p.view == view:
-            pos_gt[(p.id, p.frame)] = (p.x, p.y)
-    for p in pred.points:
-        if p.view == view:
-            pos_pred[(p.id, p.frame)] = (p.x, p.y)
-    if not pos_gt and not pos_pred:
+    n_gt = n_pred = 0
+    gt_ids: set[str] = set()
+    pred_ids: set[str] = set()
+    hits: Counter[tuple[str, str]] = Counter()
+    for f in range(max(gt.n_frames, pred.n_frames)):
+        gs, ps = gt.at(view, f), pred.at(view, f)
+        if not gs and not ps:
+            continue
+        n_gt += len(gs)
+        n_pred += len(ps)
+        gt_ids.update(g.id for g in gs)
+        pred_ids.update(p.id for p in ps)
+        near = pairs[f] if pairs is not None else near_pairs(gs, ps, alpha)
+        hits.update((gs[r].id, ps[c].id) for _, r, c in near)
+    if not n_gt and not n_pred:
         return None
-    gt_ids = sorted({g for g, _ in pos_gt})
-    pred_ids = sorted({p for p, _ in pos_pred})
-    gt_index = {g: i for i, g in enumerate(gt_ids)}
-    pred_index = {p: j for j, p in enumerate(pred_ids)}
-    preds_at: dict[int, list[tuple[int, float, float]]] = {}
-    for (p, f), (x, y) in pos_pred.items():
-        preds_at.setdefault(f, []).append((pred_index[p], x, y))
 
     # overlap[g][p]: frames where GT g and prediction p lie within alpha
-    overlap = [[0] * len(pred_ids) for _ in gt_ids]
-    for (g, f), (gx, gy) in pos_gt.items():
-        row = overlap[gt_index[g]]
-        for j, px, py in preds_at.get(f, ()):
-            if math.hypot(gx - px, gy - py) < alpha:
-                row[j] += 1
+    gt_order = sorted(gt_ids)
+    pred_order = sorted(pred_ids)
+    overlap = [[hits[g, p] for p in pred_order] for g in gt_order]
     idtp = 0
-    if gt_ids and pred_ids:
+    if gt_order and pred_order:
         ceiling = float(max(max(row) for row in overlap))
         costs = tuple(tuple(ceiling - o for o in row) for row in overlap)
         assignment: Assignment = minimize_cost(costs)
         idtp = sum(overlap[r][c] for r, c in assignment.pairs)
-    return 2 * idtp / (len(pos_gt) + len(pos_pred))
+    return 2 * idtp / (n_gt + n_pred)
 
 
 def occlusion_index(gt: Dataset) -> OcclusionReport:
@@ -528,67 +567,179 @@ def occlusion_index(gt: Dataset) -> OcclusionReport:
 # pipeline
 
 
+class Scene:
+    """The state of one (ground truth, prediction) pair that no radius changes.
+
+    One scene serves every radius up to ``radius``: pass it to each
+    ``evaluate_detailed`` call on the pair, as ``--alpha-sweep`` does. It
+    holds the ground-truth relabelling, the occlusion report, the presence
+    sets, the per-view point totals and, for every (view, frame), the
+    ground-truth/prediction pairs closer than ``radius``, nearest first, so
+    that a smaller radius reads its pairs as a prefix. Each part is built on
+    first use. The scene also keeps the frame matches already made: a frame
+    whose within-radius pairs and prediction ids are those of a radius
+    already scored gets that radius's match back. Results are the same with
+    a shared scene and without one.
+    """
+
+    def __init__(self, gt: Dataset, pred: Dataset, radius: float):
+        if gt.role is not Role.GROUND_TRUTH or pred.role is not Role.PREDICTION:
+            raise ValueError("evaluate expects (ground truth, prediction) in that order")
+        if (gt.image_width, gt.image_height) != (pred.image_width, pred.image_height):
+            raise ValueError("image dimensions differ; scores would not be comparable")
+        if not radius > 0:
+            raise ValueError("radius must be positive")
+        self.gt = gt
+        self.pred = pred
+        self.radius = radius
+        self.dims = (gt.image_width, gt.image_height)
+        self.n_views = max(gt.n_views, pred.n_views)
+        self.n_frames = max(gt.n_frames, pred.n_frames)
+        # (view, frame, number of pairs within the radius, prediction ids)
+        self._frame_matches: dict[tuple[int, int, int, tuple[str, ...]], FrameMatch] = {}
+
+    @cached_property
+    def relabelled(self) -> tuple[Dataset, IdMap]:
+        return remap_gt_ids(self.gt)
+
+    @cached_property
+    def occlusion(self) -> OcclusionReport:
+        return occlusion_index(self.gt)
+
+    @cached_property
+    def gt_present(self) -> set[tuple[int, int, str | None]]:
+        return presence(self.gt)
+
+    @cached_property
+    def pred_present(self) -> set[tuple[int, int, str | None]]:
+        return presence(self.pred)
+
+    @cached_property
+    def view_totals(self) -> tuple[Counter[int], Counter[int]]:
+        """Ground-truth and prediction points per view; linking keeps both."""
+        return (
+            Counter(p.view for p in self.gt.points),
+            Counter(p.view for p in self.pred.points),
+        )
+
+    @cached_property
+    def pairs(self) -> dict[tuple[int, int], list[tuple[float, int, int]]]:
+        """(distance, gt index, pred index) closer than the radius, nearest first."""
+        out = {}
+        for v in range(self.n_views):
+            for f in range(self.n_frames):
+                near = near_pairs(self.gt.at(v, f), self.pred.at(v, f), self.radius)
+                if near:
+                    out[v, f] = sorted(near)
+        return out
+
+    def within(self, view: int, frame: int, alpha: float) -> list[tuple[float, int, int]]:
+        """The pairs of one (view, frame) closer than ``alpha``."""
+        near = self.pairs.get((view, frame), [])
+        return near[: bisect_left(near, (alpha,))]
+
+    @cached_property
+    def classes(self) -> list[tuple[str, Scene]]:
+        """One scene per class label, with its ``MetricReport.per_class`` key."""
+        gt, pred = self.gt, self.pred
+        labels = sorted(
+            {p.class_label for p in gt.points} | {p.class_label for p in pred.points},
+            key=lambda x: (x is None, x),
+        )
+        return [
+            (
+                label if label is not None else "(none)",
+                Scene(
+                    gt.with_points(p for p in gt.points if p.class_label == label),
+                    pred.with_points(p for p in pred.points if p.class_label == label),
+                    self.radius,
+                ),
+            )
+            for label in labels or [None]
+        ]
+
+
 def evaluate(gt: Dataset, pred: Dataset, config: EvalConfig | None = None) -> MetricReport:
     """Run the full pipeline and return the metric report."""
     return evaluate_detailed(gt, pred, config).report
 
 
 def evaluate_detailed(
-    gt: Dataset, pred: Dataset, config: EvalConfig | None = None
+    gt: Dataset,
+    pred: Dataset,
+    config: EvalConfig | None = None,
+    *,
+    scene: Scene | None = None,
 ) -> EvaluationResult:
     """Like ``evaluate`` but keeps the intermediate artifacts.
 
     Pipeline: relabel ground-truth ids per view, assign prediction ids by
     temporal matching where missing, match every (view, frame), then
-    tally. Deterministic for a given input pair and config.
+    tally. Deterministic for a given input pair and config. ``scene``, a
+    ``Scene`` of this same pair with a radius of at least ``config.alpha``,
+    only skips work already done for another radius; without it the call
+    builds its own.
     """
     config = config or EvalConfig()
-    if gt.role is not Role.GROUND_TRUTH or pred.role is not Role.PREDICTION:
-        raise ValueError("evaluate expects (ground truth, prediction) in that order")
-    if (gt.image_width, gt.image_height) != (pred.image_width, pred.image_height):
-        raise ValueError("image dimensions differ; scores would not be comparable")
+    if scene is None:
+        scene = Scene(gt, pred, config.alpha)
+    elif scene.gt != gt or scene.pred != pred:
+        raise ValueError("the scene was built from a different dataset pair")
+    elif config.alpha > scene.radius:
+        raise ValueError(f"alpha={config.alpha} exceeds the scene radius {scene.radius}")
 
     if config.per_class:
-        return _evaluate_per_class(gt, pred, config)
+        return _evaluate_per_class(scene, config)
 
-    dims = (gt.image_width, gt.image_height)
-    n_views = max(gt.n_views, pred.n_views)
-    n_frames = max(gt.n_frames, pred.n_frames)
-
-    remapped, id_map = remap_gt_ids(gt)
+    gt, pred, alpha = scene.gt, scene.pred, config.alpha
+    n_views, n_frames = scene.n_views, scene.n_frames
+    # the occlusion report first, so its working sets are freed before the
+    # presence sets and the frame pairs are built
+    occlusion = scene.occlusion
+    remapped, id_map = scene.relabelled
     pred_ids = assign_temporal_ids(pred, config)
 
     # per-view lists, in (view, frame) order, so the per-view scores below
     # need no rescans of the pooled ones
-    view_matches: list[list[FrameMatch]] = [
-        [
-            match_frame(remapped.at(v, f), pred_ids.at(v, f), config, dims, v, f)
-            for f in range(n_frames)
-        ]
-        for v in range(n_views)
-    ]
+    view_matches: list[list[FrameMatch]] = []
+    for v in range(n_views):
+        row = []
+        for f in range(n_frames):
+            near = scene.within(v, f, alpha)
+            ps = pred_ids.at(v, f)
+            key = (v, f, len(near), tuple(p.id for p in ps))
+            m = scene._frame_matches.get(key)
+            if m is None:
+                m = match_frame(remapped.at(v, f), ps, config, scene.dims, v, f, near)
+                scene._frame_matches[key] = m
+            row.append(m)
+        view_matches.append(row)
     view_tp: list[list[TpInstance]] = [
         [(m.view, m.frame, g, p, d) for m in row for g, p, d in m.tp_pairs]
         for row in view_matches
     ]
-    view_gt_total = Counter(p.view for p in remapped.points)
-    view_pred_total = Counter(p.view for p in pred_ids.points)
+    view_gt_total, view_pred_total = scene.view_totals
     matches: list[FrameMatch] = [m for row in view_matches for m in row]
     tp_instances: list[TpInstance] = [t for row in view_tp for t in row]
 
     det = tally_detections(matches)
     det_scores = detection_scores(det)
-    ass_tally = build_association_tally(remapped, pred_ids, matches)
-    ass = association_accuracy(tp_instances, ass_tally, config.zero_tp_policy)
+    # the tally is dropped once scored, before the correspondence sets exist
+    ass, view_ass, (tpa, fna, fpa) = _association(
+        view_tp, build_association_tally(remapped, pred_ids, matches), config.zero_tp_policy
+    )
     corres_tally = classify_correspondence(
-        tp_instances, gt, matches, pred_ids, id_map=id_map, n_views=n_views
+        tp_instances,
+        gt,
+        matches,
+        pred_ids,
+        id_map=id_map,
+        n_views=n_views,
+        gt_present=scene.gt_present,
+        pred_present=scene.pred_present if pred_ids is pred else None,
     )
     corres = correspondence_accuracy(corres_tally, config.zero_tp_policy)
-    loc_acc = (
-        fsum(d for _, _, _, _, d in tp_instances) / len(tp_instances)
-        if tp_instances
-        else 0.0
-    )
+    loc_acc = _mean([d for _, _, _, _, d in tp_instances], 0.0)
     switches = count_id_switches(matches)
 
     per_view: list[PerViewScores] = []
@@ -597,7 +748,7 @@ def evaluate_detailed(
         v_gt_total = view_gt_total[v]
         if v_gt_total + view_pred_total[v] == 0:
             continue
-        v_ass = association_accuracy(view_tp[v], ass_tally, config.zero_tp_policy)
+        v_ass = view_ass[v]
         v_scores = detection_scores(v_det)
         per_view.append(
             PerViewScores(
@@ -611,7 +762,13 @@ def evaluate_detailed(
                 f1=v_scores.f1,
                 hota=hota(v_scores.det_acc, v_ass),
                 mota=mota(v_gt_total, v_det.fn, v_det.fp, switches.get(v, 0)),
-                idf1=idf1(remapped, pred_ids, v, config.alpha),
+                idf1=idf1(
+                    remapped,
+                    pred_ids,
+                    v,
+                    alpha,
+                    [scene.within(v, f, alpha) for f in range(n_frames)],
+                ),
             )
         )
 
@@ -620,7 +777,7 @@ def evaluate_detailed(
         return fsum(defined) / len(defined) if defined else None
 
     report = MetricReport(
-        alpha=config.alpha,
+        alpha=alpha,
         n_views=n_views,
         n_frames=n_frames,
         det_acc=det_scores.det_acc,
@@ -634,7 +791,7 @@ def evaluate_detailed(
         corres_acc=corres,
         mv_hota=mv_hota(det_scores.det_acc, ass, corres),
         loc_acc=loc_acc,
-        occlusion=occlusion_index(gt),
+        occlusion=occlusion,
         tallies={
             "tp": det.tp,
             "fp": det.fp,
@@ -642,15 +799,9 @@ def evaluate_detailed(
             "idsw": sum(switches.values()),
             "gt_observations": len(gt.points),
             "pred_observations": len(pred_ids.points),
-            "tpa": sum(
-                ass_tally.tpa(v, g, p) for v, _, g, p, _ in tp_instances
-            ),
-            "fna": sum(
-                ass_tally.fna(v, g, p) for v, _, g, p, _ in tp_instances
-            ),
-            "fpa": sum(
-                ass_tally.fpa(v, g, p) for v, _, g, p, _ in tp_instances
-            ),
+            "tpa": tpa,
+            "fna": fna,
+            "fpa": fpa,
             "tpc": corres_tally.tpc,
             "fpc": corres_tally.fpc,
             "fnc": corres_tally.fnc,
@@ -665,24 +816,15 @@ def evaluate_detailed(
     )
 
 
-def _evaluate_per_class(gt: Dataset, pred: Dataset, config: EvalConfig) -> EvaluationResult:
+def _evaluate_per_class(scene: Scene, config: EvalConfig) -> EvaluationResult:
     """Run the whole pipeline once per class label and macro-average."""
     sub_config = EvalConfig(
         alpha=config.alpha, per_class=False, zero_tp_policy=config.zero_tp_policy
     )
-    labels = sorted(
-        {p.class_label for p in gt.points} | {p.class_label for p in pred.points},
-        key=lambda x: (x is None, x),
-    )
-    if not labels:
-        labels = [None]
     sub_reports: dict[str, MetricReport] = {}
     all_matches: list[FrameMatch] = []
-    for label in labels:
-        key = label if label is not None else "(none)"
-        sub_gt = gt.with_points(p for p in gt.points if p.class_label == label)
-        sub_pred = pred.with_points(p for p in pred.points if p.class_label == label)
-        result = evaluate_detailed(sub_gt, sub_pred, sub_config)
+    for key, sub in scene.classes:
+        result = evaluate_detailed(sub.gt, sub.pred, sub_config, scene=sub)
         sub_reports[key] = result.report
         all_matches.extend(result.matches)
 
@@ -733,10 +875,9 @@ def _evaluate_per_class(gt: Dataset, pred: Dataset, config: EvalConfig) -> Evalu
         per_view=(),
         per_class=sub_reports,
     )
-    _, id_map = remap_gt_ids(gt)
     return EvaluationResult(
         report=report,
         matches=tuple(all_matches),
-        id_map=id_map,
-        pred_with_ids=pred,
+        id_map=scene.relabelled[1],
+        pred_with_ids=scene.pred,
     )

@@ -183,7 +183,7 @@ def test_solve_assignment_leaves_cells_just_below_the_bound_to_the_solver():
     bound = math.hypot(*DIMS)
     near = math.nextafter(bound, 0)
     entries = ((bound, near), (bound, bound))
-    got = solve_assignment(matching.CostMatrix(entries, alpha=200.0, diagonal_bound=bound))
+    got = solve_assignment(matching.CostMatrix(entries, diagonal_bound=bound))
     assert got == minimize_cost(entries)
     assert got.pairs == ((0, 0), (1, 1))
 

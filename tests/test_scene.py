@@ -1,0 +1,154 @@
+"""One scene shared by every radius of a sweep scores each radius as a fresh evaluation would."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from mvteval import cli, metrics
+from mvteval.core import EvalConfig, Point, Role, parse_dataset, serialize_dataset
+from mvteval.metrics import Scene, evaluate, evaluate_detailed
+from mvteval.synth import SynthConfig, generate
+
+# a 64 x 48 image: its diagonal, 80 px, lies inside the sweeps below
+SYNTH = SynthConfig(
+    n_views=3,
+    n_frames=8,
+    n_points=6,
+    image_width=64,
+    image_height=48,
+    motion_amplitude=8.0,
+    disparity=4.0,
+    pred_noise_sigma=1.5,
+    pred_miss_rate=0.1,
+    pred_fp_rate=0.5,
+    view_drop_prob=0.15,
+    id_switch_prob=0.05,
+    seed=5,
+)
+LABELS = ("a", "b", None)
+
+
+def labelled(dataset, offset):
+    """The dataset with class labels spread over its points."""
+    return dataset.with_points(
+        Point(
+            view=p.view, frame=p.frame, x=p.x, y=p.y, id=p.id,
+            class_label=LABELS[(3 * i + offset) % len(LABELS)],
+        )
+        for i, p in enumerate(dataset.points)
+    )
+
+
+def scene_pair(per_class=False, strip_ids=False):
+    gt, pred = generate(SYNTH)
+    if per_class:
+        gt, pred = labelled(gt, 0), labelled(pred, 1)
+    if strip_ids:
+        pred = pred.with_points(
+            Point(view=p.view, frame=p.frame, x=p.x, y=p.y, class_label=p.class_label)
+            for p in pred.points
+        )
+    return gt, pred
+
+
+def run_sweep(tmp_path, gt, pred, *flags):
+    gt_path, pred_path, out = tmp_path / "gt.json", tmp_path / "pred.json", tmp_path / "out.json"
+    serialize_dataset(gt, gt_path)
+    serialize_dataset(pred, pred_path)
+    code = cli.main(
+        ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--format", "json",
+         "--output", str(out), *flags]
+    )
+    assert code == 0
+    return (
+        parse_dataset(gt_path, Role.GROUND_TRUTH),
+        parse_dataset(pred_path, Role.PREDICTION),
+        json.loads(out.read_text(encoding="utf-8")),
+    )
+
+
+@pytest.mark.parametrize("per_class", [False, True])
+@pytest.mark.parametrize("assign_ids", [False, True])
+def test_every_sweep_row_equals_a_fresh_evaluation(tmp_path, per_class, assign_ids):
+    gt, pred = scene_pair(per_class)
+    flags = ["--alpha", "6", "--alpha-sweep", "2:122:4"]
+    flags += ["--per-class"] * per_class + ["--assign-ids"] * assign_ids
+    gt, pred, payload = run_sweep(tmp_path, gt, pred, *flags)
+    if assign_ids:
+        pred = pred.with_points(
+            Point(view=p.view, frame=p.frame, x=p.x, y=p.y, class_label=p.class_label)
+            for p in pred.points
+        )
+
+    radii = [row["alpha"] for row in payload["alpha_sweep"]]
+    assert 6.0 in radii and radii[-1] > gt.diagonal
+    for row in payload["alpha_sweep"]:
+        report = evaluate(gt, pred, EvalConfig(alpha=row["alpha"], per_class=per_class))
+        assert row == {"alpha": row["alpha"], **{k: getattr(report, k) for k in cli._SWEEP_KEYS}}
+
+    # the headline is the report of its own radius, sweep or no sweep
+    headline = {k: v for k, v in payload.items() if k not in ("validation", "alpha_sweep")}
+    report = evaluate(gt, pred, EvalConfig(alpha=6.0, per_class=per_class))
+    assert headline == json.loads(json.dumps(report.to_dict()))
+
+
+@pytest.mark.parametrize("per_class", [False, True])
+@pytest.mark.parametrize("strip_ids", [False, True])
+def test_shared_scene_gives_the_same_result(per_class, strip_ids):
+    gt, pred = scene_pair(per_class, strip_ids)
+    scene = Scene(gt, pred, 100.0)
+    # repeated and out-of-order radii, so later calls reuse earlier matches
+    for alpha in (12.0, 2.0, 6.0, 6.0, 100.0, 3.5, 12.0):
+        config = EvalConfig(alpha=alpha, per_class=per_class)
+        assert evaluate_detailed(gt, pred, config, scene=scene) == evaluate_detailed(
+            gt, pred, config
+        )
+
+
+def count_calls(monkeypatch, module, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("assign_ids", [False, True])
+def test_a_sweep_relabels_and_measures_occlusion_once(tmp_path, monkeypatch, assign_ids):
+    calls = count_calls(monkeypatch, metrics, "remap_gt_ids", "occlusion_index")
+    evaluations = count_calls(monkeypatch, cli, "evaluate_detailed")
+    gt, pred = scene_pair()
+    flags = ["--alpha-sweep", "2:12:2"] + ["--assign-ids"] * assign_ids
+    run_sweep(tmp_path, gt, pred, *flags)
+    assert calls == {"remap_gt_ids": 1, "occlusion_index": 1}
+    assert evaluations == {"evaluate_detailed": 7}  # the headline and six radii
+
+
+def test_a_repeated_radius_makes_no_new_match(monkeypatch):
+    gt, pred = scene_pair()
+    scene = Scene(gt, pred, 12.0)
+    calls = count_calls(monkeypatch, metrics, "match_frame")
+    first = evaluate_detailed(gt, pred, EvalConfig(alpha=6.0), scene=scene)
+    assert calls["match_frame"] == SYNTH.n_views * SYNTH.n_frames
+    again = evaluate_detailed(gt, pred, EvalConfig(alpha=6.0), scene=scene)
+    assert calls["match_frame"] == SYNTH.n_views * SYNTH.n_frames
+    assert again == first
+
+
+def test_scene_must_belong_to_the_pair_and_cover_the_radius():
+    gt, pred = scene_pair()
+    scene = Scene(gt, pred, 6.0)
+    with pytest.raises(ValueError, match="radius"):
+        evaluate_detailed(gt, pred, EvalConfig(alpha=8.0), scene=scene)
+    other_gt, _ = generate(SynthConfig(n_views=3, n_frames=8, n_points=6, seed=6))
+    with pytest.raises(ValueError, match="different"):
+        evaluate_detailed(other_gt, pred, EvalConfig(alpha=6.0), scene=scene)
+    with pytest.raises(ValueError, match="order"):
+        Scene(pred, gt, 6.0)
