@@ -147,7 +147,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
     # every radius, the headline's and the sweep's, is scored on one scene
     scene = Scene(gt, pred, max([config.alpha, *sweep_alphas]))
-    result = evaluate_detailed(gt, pred, config, scene=scene)
+    try:
+        result = evaluate_detailed(gt, pred, config, scene=scene)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     report = result.report
 
     if args.dump_matches:

@@ -74,24 +74,24 @@ class Dataset:
             raise DatasetError("image dimensions must be positive", "image_width")
         by_frame: dict[tuple[int, int], list[Point]] = {}
         seen_ids: set[tuple[str, int, int]] = set()
+        # positions are formatted only for a failing point
         for i, p in enumerate(self.points):
-            pos = f"points[{i}]"
             if not 0 <= p.view < self.n_views:
-                raise DatasetError(f"view {p.view} out of range", f"{pos}.view")
+                raise DatasetError(f"view {p.view} out of range", f"points[{i}].view")
             if not 0 <= p.frame < self.n_frames:
-                raise DatasetError(f"frame {p.frame} out of range", f"{pos}.frame")
+                raise DatasetError(f"frame {p.frame} out of range", f"points[{i}].frame")
             if not 0 <= p.x <= self.image_width:
-                raise DatasetError(f"x={p.x} outside image", f"{pos}.x")
+                raise DatasetError(f"x={p.x} outside image", f"points[{i}].x")
             if not 0 <= p.y <= self.image_height:
-                raise DatasetError(f"y={p.y} outside image", f"{pos}.y")
+                raise DatasetError(f"y={p.y} outside image", f"points[{i}].y")
             if self.role is Role.GROUND_TRUTH and p.id is None:
-                raise DatasetError("ground-truth point without id", f"{pos}.id")
+                raise DatasetError("ground-truth point without id", f"points[{i}].id")
             if p.id is not None:
                 key = (p.id, p.view, p.frame)
                 if key in seen_ids:
                     raise DatasetError(
                         f"duplicate id {p.id!r} in view {p.view}, frame {p.frame}",
-                        f"{pos}.id",
+                        f"points[{i}].id",
                     )
                 seen_ids.add(key)
             by_frame.setdefault((p.view, p.frame), []).append(p)
@@ -232,6 +232,20 @@ def _as_opt_str(value: Any, position: str) -> str | None:
     raise DatasetError(f"expected string or null, got {value!r}", position)
 
 
+def _checked_point(entry: Any, pos: str) -> Point:
+    """Build one point, or raise at the position of its first bad field."""
+    if not isinstance(entry, dict):
+        raise DatasetError("point must be an object", pos)
+    return Point(
+        view=_as_int(_require(entry, "view", pos), f"{pos}.view"),
+        frame=_as_int(_require(entry, "frame", pos), f"{pos}.frame"),
+        x=_as_number(_require(entry, "x", pos), f"{pos}.x"),
+        y=_as_number(_require(entry, "y", pos), f"{pos}.y"),
+        id=_as_opt_str(entry.get("id"), f"{pos}.id"),
+        class_label=_as_opt_str(entry.get("class"), f"{pos}.class"),
+    )
+
+
 def dataset_from_dict(data: Any, role: Role) -> Dataset:
     """Build a validated dataset from already-decoded JSON."""
     if not isinstance(data, dict):
@@ -240,20 +254,26 @@ def dataset_from_dict(data: Any, role: Role) -> Dataset:
     if not isinstance(raw_points, list):
         raise DatasetError("points must be an array", "points")
     points = []
+    number, optional_str = (int, float), (str, type(None))
     for i, entry in enumerate(raw_points):
-        pos = f"points[{i}]"
-        if not isinstance(entry, dict):
-            raise DatasetError("point must be an object", pos)
-        points.append(
-            Point(
-                view=_as_int(_require(entry, "view", pos), f"{pos}.view"),
-                frame=_as_int(_require(entry, "frame", pos), f"{pos}.frame"),
-                x=_as_number(_require(entry, "x", pos), f"{pos}.x"),
-                y=_as_number(_require(entry, "y", pos), f"{pos}.y"),
-                id=_as_opt_str(entry.get("id"), f"{pos}.id"),
-                class_label=_as_opt_str(entry.get("class"), f"{pos}.class"),
-            )
-        )
+        # the plain JSON types take the fast path; anything else, such as a
+        # missing field or an int subclass, goes through _checked_point,
+        # which formats positions only there
+        if type(entry) is dict:
+            view, frame = entry.get("view"), entry.get("frame")
+            x, y = entry.get("x"), entry.get("y")
+            pid, label = entry.get("id"), entry.get("class")
+            if (
+                type(view) is int
+                and type(frame) is int
+                and type(x) in number
+                and type(y) in number
+                and type(pid) in optional_str
+                and type(label) in optional_str
+            ):
+                points.append(Point(view, frame, float(x), float(y), pid, label))
+                continue
+        points.append(_checked_point(entry, f"points[{i}]"))
     return Dataset(
         n_views=_as_int(_require(data, "n_views", "$"), "n_views"),
         n_frames=_as_int(_require(data, "n_frames", "$"), "n_frames"),
@@ -300,13 +320,11 @@ def remap_gt_ids(gt: Dataset) -> tuple[Dataset, IdMap]:
     """
     if gt.role is not Role.GROUND_TRUTH:
         raise ValueError("remap_gt_ids expects a ground-truth dataset")
-    per_view: dict[int, list[str]] = {}
+    per_view: dict[int, set[str]] = {}
     for p in gt.points:
         if p.id is None:
             raise DatasetError("ground-truth point without id", "points")
-        per_view.setdefault(p.view, [])
-        if p.id not in per_view[p.view]:
-            per_view[p.view].append(p.id)
+        per_view.setdefault(p.view, set()).add(p.id)
     to_local = {
         view: {gid: i for i, gid in enumerate(sorted(ids))}
         for view, ids in per_view.items()

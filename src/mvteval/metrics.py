@@ -364,9 +364,21 @@ def _association(
     return pooled, [_mean(row, zero_tp_policy) for row in view_scores], (tpa, fna, fpa)
 
 
-def presence(dataset: Dataset) -> set[tuple[int, int, str | None]]:
-    """(view, frame, id) of every point of a dataset."""
-    return {(p.view, p.frame, p.id) for p in dataset.points}
+def view_masks(dataset: Dataset) -> dict[tuple[int, str | None], int]:
+    """Bit mask of the views where each (frame, id) of a dataset has a point."""
+    masks: dict[tuple[int, str | None], int] = {}
+    for p in dataset.points:
+        key = (p.frame, p.id)
+        masks[key] = masks.get(key, 0) | 1 << p.view
+    return masks
+
+
+def global_id_table(id_map: IdMap) -> dict[int, dict[str, str]]:
+    """Per view, the global ground-truth id of each relabelled id string."""
+    return {
+        view: {str(local): gid for local, gid in mapping.items()}
+        for view, mapping in id_map.to_global.items()
+    }
 
 
 def classify_correspondence(
@@ -377,8 +389,9 @@ def classify_correspondence(
     id_map: IdMap | None = None,
     n_views: int | None = None,
     *,
-    gt_present: set[tuple[int, int, str | None]] | None = None,
-    pred_present: set[tuple[int, int, str | None]] | None = None,
+    gt_views: dict[tuple[int, str | None], int] | None = None,
+    pred_views: dict[tuple[int, str | None], int] | None = None,
+    global_ids: dict[int, dict[str, str]] | None = None,
 ) -> CorresTally:
     """Classify each true positive against every other view of its frame.
 
@@ -388,40 +401,44 @@ def classify_correspondence(
     prediction identity showing up anyway is a false positive
     correspondence; its absence is (vacuously) correct. Single-view data
     therefore yields empty triples, scored as fully corresponded.
-    ``gt_present`` and ``pred_present`` may pass in ``presence(gt)`` and
-    ``presence(pred)`` when the caller already holds them.
+
+    Every view is a bit, so a true positive is classified with a few mask
+    operations instead of a loop over views. ``gt_views``, ``pred_views``
+    and ``global_ids`` may pass in ``view_masks(gt)``, ``view_masks(pred)``
+    and ``global_id_table(id_map)`` when the caller already holds them.
     """
     n_views = n_views if n_views is not None else gt.n_views
+    if global_ids is None and id_map is not None:
+        global_ids = global_id_table(id_map)
+    if gt_views is None:
+        gt_views = view_masks(gt)
+    if pred_views is None:
+        pred_views = view_masks(pred)
 
-    def to_global(view: int, local: str) -> str:
-        return id_map.global_id(view, int(local)) if id_map is not None else local
-
-    if gt_present is None:
-        gt_present = presence(gt)
-    if pred_present is None:
-        pred_present = presence(pred)
-    tp_gt = set()
+    # (frame, global gt id) -> the views where that point was matched
+    tp_views: dict[tuple[int, str], int] = {}
     for m in matches:
+        if not m.tp_pairs:
+            continue
+        names = global_ids[m.view] if global_ids is not None else None
+        bit = 1 << m.view
         for g, _, _ in m.tp_pairs:
-            tp_gt.add((m.view, m.frame, to_global(m.view, g)))
+            key = (m.frame, names[g] if names is not None else g)
+            tp_views[key] = tp_views.get(key, 0) | bit
 
+    all_views = (1 << n_views) - 1
     per_tp = []
     for v, f, g, p, _ in tp_instances:
-        gid = to_global(v, g)
-        tpc = fpc = fnc = 0
-        for w in range(n_views):
-            if w == v:
-                continue
-            if (w, f, gid) in gt_present:
-                if (w, f, gid) in tp_gt:
-                    tpc += 1
-                else:
-                    fnc += 1
-            elif (w, f, p) in pred_present:
-                fpc += 1
-            else:
-                tpc += 1
-        per_tp.append((tpc, fpc, fnc))
+        key = (f, global_ids[v][g] if global_ids is not None else g)
+        others = all_views & ~(1 << v)
+        annotated = gt_views.get(key, 0) & others
+        matched = tp_views.get(key, 0) & annotated
+        stray = pred_views.get((f, p), 0) & others & ~annotated
+        n_annotated, n_matched = annotated.bit_count(), matched.bit_count()
+        fpc = stray.bit_count()
+        per_tp.append(
+            (n_matched + others.bit_count() - n_annotated - fpc, fpc, n_annotated - n_matched)
+        )
     return CorresTally(per_tp=tuple(per_tp))
 
 
@@ -566,18 +583,21 @@ def occlusion_index(gt: Dataset) -> OcclusionReport:
 # ---------------------------------------------------------------------------
 # pipeline
 
+# the ``MetricReport.per_class`` key of points without a class label
+_UNLABELLED = "(none)"
+
 
 class Scene:
     """The state of one (ground truth, prediction) pair that no radius changes.
 
     One scene serves every radius up to ``radius``: pass it to each
     ``evaluate_detailed`` call on the pair, as ``--alpha-sweep`` does. It
-    holds the ground-truth relabelling, the occlusion report, the presence
-    sets, the per-view point totals and, for every (view, frame), the
-    ground-truth/prediction pairs closer than ``radius``, nearest first, so
-    that a smaller radius reads its pairs as a prefix. Each part is built on
-    first use. The scene also keeps the frame matches already made: a frame
-    whose within-radius pairs and prediction ids are those of a radius
+    holds the ground-truth relabelling, the occlusion report, the view masks
+    of every (frame, id), the per-view point totals and, for every (view,
+    frame), the ground-truth/prediction pairs closer than ``radius``, nearest
+    first, so that a smaller radius reads its pairs as a prefix. Each part is
+    built on first use. The scene also keeps the frame matches already made:
+    a frame whose within-radius pairs and prediction ids are those of a radius
     already scored gets that radius's match back. Results are the same with
     a shared scene and without one.
     """
@@ -607,12 +627,16 @@ class Scene:
         return occlusion_index(self.gt)
 
     @cached_property
-    def gt_present(self) -> set[tuple[int, int, str | None]]:
-        return presence(self.gt)
+    def global_ids(self) -> dict[int, dict[str, str]]:
+        return global_id_table(self.relabelled[1])
 
     @cached_property
-    def pred_present(self) -> set[tuple[int, int, str | None]]:
-        return presence(self.pred)
+    def gt_views(self) -> dict[tuple[int, str | None], int]:
+        return view_masks(self.gt)
+
+    @cached_property
+    def pred_views(self) -> dict[tuple[int, str | None], int]:
+        return view_masks(self.pred)
 
     @cached_property
     def view_totals(self) -> tuple[Counter[int], Counter[int]]:
@@ -646,9 +670,14 @@ class Scene:
             {p.class_label for p in gt.points} | {p.class_label for p in pred.points},
             key=lambda x: (x is None, x),
         )
+        if None in labels and _UNLABELLED in labels:
+            raise ValueError(
+                f"class label {_UNLABELLED!r} collides with the per-class key of "
+                "unlabelled points"
+            )
         return [
             (
-                label if label is not None else "(none)",
+                label if label is not None else _UNLABELLED,
                 Scene(
                     gt.with_points(p for p in gt.points if p.class_label == label),
                     pred.with_points(p for p in pred.points if p.class_label == label),
@@ -694,7 +723,7 @@ def evaluate_detailed(
     gt, pred, alpha = scene.gt, scene.pred, config.alpha
     n_views, n_frames = scene.n_views, scene.n_frames
     # the occlusion report first, so its working sets are freed before the
-    # presence sets and the frame pairs are built
+    # view masks and the frame pairs are built
     occlusion = scene.occlusion
     remapped, id_map = scene.relabelled
     pred_ids = assign_temporal_ids(pred, config)
@@ -702,10 +731,11 @@ def evaluate_detailed(
     # per-view lists, in (view, frame) order, so the per-view scores below
     # need no rescans of the pooled ones
     view_matches: list[list[FrameMatch]] = []
+    view_near: list[list[list[tuple[float, int, int]]]] = []
     for v in range(n_views):
         row = []
-        for f in range(n_frames):
-            near = scene.within(v, f, alpha)
+        nears = [scene.within(v, f, alpha) for f in range(n_frames)]
+        for f, near in enumerate(nears):
             ps = pred_ids.at(v, f)
             key = (v, f, len(near), tuple(p.id for p in ps))
             m = scene._frame_matches.get(key)
@@ -714,6 +744,7 @@ def evaluate_detailed(
                 scene._frame_matches[key] = m
             row.append(m)
         view_matches.append(row)
+        view_near.append(nears)
     view_tp: list[list[TpInstance]] = [
         [(m.view, m.frame, g, p, d) for m in row for g, p, d in m.tp_pairs]
         for row in view_matches
@@ -733,10 +764,10 @@ def evaluate_detailed(
         gt,
         matches,
         pred_ids,
-        id_map=id_map,
         n_views=n_views,
-        gt_present=scene.gt_present,
-        pred_present=scene.pred_present if pred_ids is pred else None,
+        gt_views=scene.gt_views,
+        pred_views=scene.pred_views if pred_ids is pred else None,
+        global_ids=scene.global_ids,
     )
     corres = correspondence_accuracy(corres_tally, config.zero_tp_policy)
     loc_acc = _mean([d for _, _, _, _, d in tp_instances], 0.0)
@@ -762,13 +793,7 @@ def evaluate_detailed(
                 f1=v_scores.f1,
                 hota=hota(v_scores.det_acc, v_ass),
                 mota=mota(v_gt_total, v_det.fn, v_det.fp, switches.get(v, 0)),
-                idf1=idf1(
-                    remapped,
-                    pred_ids,
-                    v,
-                    alpha,
-                    [scene.within(v, f, alpha) for f in range(n_frames)],
-                ),
+                idf1=idf1(remapped, pred_ids, v, alpha, view_near[v]),
             )
         )
 

@@ -143,6 +143,28 @@ def oracle_match_frame(gt_points, pred_points, alpha, diagonal):
 # full evaluation oracle
 
 
+def corres_terms(n_views, gt_present, pred_present, tp_gt, v, f, g, p):
+    """(TPC, FPC, FNC) of the true positive (v, f, g, p), one other view at a time.
+
+    ``gt_present`` and ``pred_present`` hold (view, frame, id) of every
+    point, ``tp_gt`` (view, frame, gt id) of every true positive.
+    """
+    tpc = fpc = fnc = 0
+    for w in range(n_views):
+        if w == v:
+            continue
+        if (w, f, g) in gt_present:
+            if (w, f, g) in tp_gt:
+                tpc += 1
+            else:
+                fnc += 1
+        elif (w, f, p) in pred_present:
+            fpc += 1
+        else:
+            tpc += 1
+    return tpc, fpc, fnc
+
+
 def oracle_evaluate(gt: Dataset, pred: Dataset, config: EvalConfig | None = None):
     """Recompute every reported score straight from the definitions.
 
@@ -200,19 +222,7 @@ def oracle_evaluate(gt: Dataset, pred: Dataset, config: EvalConfig | None = None
     tp_gt = {(v, f, g) for v, f, g, _, _ in tp_all}
 
     def corres_score(v, f, g, p):
-        tpc = fpc = fnc = 0
-        for w in range(n_views):
-            if w == v:
-                continue
-            if (w, f, g) in gt_present:
-                if (w, f, g) in tp_gt:
-                    tpc += 1
-                else:
-                    fnc += 1
-            elif (w, f, p) in pred_present:
-                fpc += 1
-            else:
-                tpc += 1
+        tpc, fpc, fnc = corres_terms(n_views, gt_present, pred_present, tp_gt, v, f, g, p)
         denom = tpc + fpc + fnc
         return tpc / denom if denom else 1.0
 

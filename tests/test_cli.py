@@ -290,6 +290,33 @@ def test_per_class_flag(tmp_path):
     assert payload["scores"]["mv_hota"] == 0.5
 
 
+def test_per_class_key_collision_is_an_error(tmp_path):
+    doc = {
+        "n_views": 1,
+        "n_frames": 1,
+        "image_width": 100,
+        "image_height": 100,
+        "points": [
+            {"view": 0, "frame": 0, "x": 20, "y": 20, "id": "a", "class": "(none)"},
+            {"view": 0, "frame": 0, "x": 70, "y": 70, "id": "b"},
+        ],
+    }
+    pred_doc = dict(doc)
+    pred_doc["points"] = [
+        {"view": 0, "frame": 0, "x": 20, "y": 20, "id": "p", "class": "(none)"}
+    ]
+    gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+    gt_path.write_text(json.dumps(doc))
+    pred_path.write_text(json.dumps(pred_doc))
+    args = ("evaluate", "--gt", str(gt_path), "--pred", str(pred_path))
+    result = run_cli(*args, "--per-class")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and "(none)" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert run_cli(*args).returncode == 0
+
+
 def test_validate_subcommand(tmp_path, scene):
     gt_path, pred_path = scene
     ok = run_cli("validate", "--gt", str(gt_path), "--pred", str(pred_path))

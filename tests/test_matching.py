@@ -109,6 +109,24 @@ def test_solver_optimality_property(rows):
     assert got.total_cost == want_cost
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: the float potentials cannot see the 1.5e-76 cell, and the "
+    "tie-break accepts only totals equal to the first solve's, so the smaller fsum is missed",
+)
+def test_solver_finds_an_optimum_below_the_potentials_resolution():
+    # found by test_solver_optimality_property
+    rows = (
+        (0, 0, 255, 0),
+        (0, 0, 254.8458709117612, 0),
+        (1.5219710646900248e-76, 1.7242963896769368, 257, 2),
+        (0, 1.7242963896769368, 257, 2),
+    )
+    want_cost, _ = min_cost_assignment_by_permutations(rows)
+    assert want_cost == 256.5701673014381
+    assert minimize_cost(rows).total_cost == want_cost
+
+
 @given(
     st.integers(1, 4).flatmap(
         lambda n: st.integers(1, 4).flatmap(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvteval.core import Dataset, EvalConfig, Point, Role
+from mvteval.core import Dataset, EvalConfig, Point, Role, remap_gt_ids
 from mvteval.matching import match_frame
 from mvteval.metrics import (
     AssTally,
@@ -30,6 +30,7 @@ from mvteval.metrics import (
 )
 from mvteval.synth import SynthConfig, generate, three_view_fixture
 from oracles import (
+    corres_terms,
     oracle_evaluate,
     oracle_match_frame,
     oracle_occlusion_simple,
@@ -304,6 +305,53 @@ def test_single_view_correspondence_is_one():
     assert report.corres_acc == 1.0
     assert report.mv_hota == pytest.approx((report.det_acc * report.ass_acc) ** (1 / 3))
     assert report.hota == pytest.approx(math.sqrt(report.det_acc * report.ass_acc))
+
+
+@st.composite
+def correspondence_scenes(draw):
+    """GT and predictions on 1-9 views with sparse GT presence.
+
+    Prediction ids come from a small pool, so one id repeats across views,
+    also where the GT point it sits on is not annotated. A prediction lies
+    next to one of four GT slots or far from all of them.
+    """
+    n_views, n_frames = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    gt_points, pred_points = [], []
+    for v in range(n_views):
+        for f in range(n_frames):
+            for k in sorted(draw(st.sets(st.integers(0, 3)))):
+                gt_points.append(Point(view=v, frame=f, x=10 + 30 * k, y=10, id=f"g{k}"))
+            for k in sorted(draw(st.sets(st.integers(0, 3)))):
+                slot = draw(st.integers(0, 4))
+                pred_points.append(Point(view=v, frame=f, x=12 + 30 * slot, y=10, id=f"p{k}"))
+    gt = dataset(gt_points, n_views=n_views, n_frames=n_frames)
+    pred = dataset(pred_points, n_views=n_views, n_frames=n_frames, role=Role.PREDICTION)
+    return gt, pred
+
+
+@given(correspondence_scenes(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_classify_correspondence_equals_the_per_view_rule(scene, relabel):
+    gt, pred = scene
+    matched_gt, id_map = remap_gt_ids(gt) if relabel else (gt, None)
+    matches = [
+        match_frame(matched_gt.at(v, f), pred.at(v, f), CONFIG, (200, 200), v, f)
+        for v in range(gt.n_views)
+        for f in range(gt.n_frames)
+    ]
+    tp_instances = [(m.view, m.frame, g, p, d) for m in matches for g, p, d in m.tp_pairs]
+    tally = classify_correspondence(tp_instances, gt, matches, pred, id_map, gt.n_views)
+
+    def global_id(v, g):
+        return id_map.global_id(v, int(g)) if id_map is not None else g
+
+    gt_present = {(p.view, p.frame, p.id) for p in gt.points}
+    pred_present = {(p.view, p.frame, p.id) for p in pred.points}
+    tp_gt = {(v, f, global_id(v, g)) for v, f, g, _, _ in tp_instances}
+    assert tally.per_tp == tuple(
+        corres_terms(gt.n_views, gt_present, pred_present, tp_gt, v, f, global_id(v, g), p)
+        for v, f, g, p, _ in tp_instances
+    )
 
 
 def test_three_view_fixture_covers_all_cases():
@@ -722,6 +770,23 @@ def test_per_class_macro_average():
     assert report.per_class["exit"].mv_hota == 0.0
     assert report.mv_hota == pytest.approx(0.5)
     assert report.det_acc == pytest.approx(0.5)
+
+
+def test_per_class_label_colliding_with_the_unlabelled_key_raises():
+    # a matched "(none)" point and a missed unlabelled one would share a key
+    points_gt = [
+        Point(view=0, frame=0, x=20, y=20, id="a", class_label="(none)"),
+        Point(view=0, frame=0, x=80, y=80, id="b"),
+    ]
+    points_pred = [Point(view=0, frame=0, x=20, y=20, id="p", class_label="(none)")]
+    gt = dataset(points_gt, n_views=1, n_frames=1)
+    pred = dataset(points_pred, n_views=1, n_frames=1, role=Role.PREDICTION)
+    with pytest.raises(ValueError, match=r"'\(none\)' collides"):
+        evaluate(gt, pred, EvalConfig(alpha=6.0, per_class=True))
+    assert evaluate(gt, pred, CONFIG).tallies["tp"] == 1
+    labelled_only = gt.with_points(points_gt[:1])
+    report = evaluate(labelled_only, pred, EvalConfig(alpha=6.0, per_class=True))
+    assert list(report.per_class) == ["(none)"]
 
 
 def test_per_class_ignored_by_default():
