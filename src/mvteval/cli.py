@@ -1,7 +1,8 @@
 """Command-line interface: evaluate, synth and validate subcommands.
 
 Exit codes: 0 success, 1 validation failure (geometry mismatch without
---force, invalid generator settings), 2 unreadable or malformed input.
+--force, a pair that cannot be scored even with --force, invalid generator
+settings), 2 unreadable or malformed input.
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
 """
@@ -25,7 +26,7 @@ from .core import (
     serialize_dataset,
     validate_pair,
 )
-from .metrics import Scene, evaluate_detailed, occlusion_index
+from .metrics import EvaluationError, Scene, evaluate_detailed, occlusion_index
 from .synth import SynthConfig, generate
 
 _SWEEP_KEYS = ("mota", "idf1", "f1", "det_acc", "ass_acc", "hota", "corres_acc", "mv_hota", "loc_acc")
@@ -145,11 +146,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # every radius, the headline's and the sweep's, is scored on one scene
-    scene = Scene(gt, pred, max([config.alpha, *sweep_alphas]))
     try:
+        # every radius, the headline's and the sweep's, is scored on one scene
+        scene = Scene(gt, pred, max([config.alpha, *sweep_alphas]))
         result = evaluate_detailed(gt, pred, config, scene=scene)
-    except ValueError as exc:
+    except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = result.report

@@ -13,6 +13,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Any, Iterable
 
@@ -173,6 +174,14 @@ class IdMap:
     def has_global(self, view: int, global_id: str) -> bool:
         return global_id in self.to_local.get(view, {})
 
+    @cached_property
+    def by_point_id(self) -> dict[int, dict[str, str]]:
+        """Per view, the global id of each relabelled point id (its string form)."""
+        return {
+            view: {str(local): gid for local, gid in mapping.items()}
+            for view, mapping in self.to_global.items()
+        }
+
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -208,77 +217,68 @@ class ValidationReport:
         }
 
 
-def _require(obj: dict, key: str, position: str) -> Any:
-    if key not in obj:
-        raise DatasetError(f"missing required field {key!r}", position)
-    return obj[key]
+# The field checks take the point index rather than a formatted position, so
+# that a position string is built only for a field that fails.
+_MISSING = object()
 
 
-def _as_int(value: Any, position: str) -> int:
+def _invalid(value: Any, expected: str, key: str, index: int | None) -> DatasetError:
+    if value is _MISSING:
+        where = "$" if index is None else f"points[{index}]"
+        return DatasetError(f"missing required field {key!r}", where)
+    where = key if index is None else f"points[{index}].{key}"
+    return DatasetError(f"expected {expected}, got {value!r}", where)
+
+
+def _int_field(obj: dict, key: str, index: int | None = None) -> int:
+    value = obj.get(key, _MISSING)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DatasetError(f"expected integer, got {value!r}", position)
+        raise _invalid(value, "integer", key, index)
     return value
 
 
-def _as_number(value: Any, position: str) -> float:
+def _number_field(obj: dict, key: str, index: int | None = None) -> float:
+    value = obj.get(key, _MISSING)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DatasetError(f"expected number, got {value!r}", position)
+        raise _invalid(value, "number", key, index)
     return float(value)
 
 
-def _as_opt_str(value: Any, position: str) -> str | None:
+def _opt_str_field(obj: dict, key: str, index: int | None = None) -> str | None:
+    value = obj.get(key)
     if value is None or isinstance(value, str):
         return value
-    raise DatasetError(f"expected string or null, got {value!r}", position)
-
-
-def _checked_point(entry: Any, pos: str) -> Point:
-    """Build one point, or raise at the position of its first bad field."""
-    if not isinstance(entry, dict):
-        raise DatasetError("point must be an object", pos)
-    return Point(
-        view=_as_int(_require(entry, "view", pos), f"{pos}.view"),
-        frame=_as_int(_require(entry, "frame", pos), f"{pos}.frame"),
-        x=_as_number(_require(entry, "x", pos), f"{pos}.x"),
-        y=_as_number(_require(entry, "y", pos), f"{pos}.y"),
-        id=_as_opt_str(entry.get("id"), f"{pos}.id"),
-        class_label=_as_opt_str(entry.get("class"), f"{pos}.class"),
-    )
+    raise _invalid(value, "string or null", key, index)
 
 
 def dataset_from_dict(data: Any, role: Role) -> Dataset:
     """Build a validated dataset from already-decoded JSON."""
     if not isinstance(data, dict):
         raise DatasetError("top-level value must be an object", "$")
-    raw_points = _require(data, "points", "$")
+    if "points" not in data:
+        raise DatasetError("missing required field 'points'", "$")
+    raw_points = data["points"]
     if not isinstance(raw_points, list):
         raise DatasetError("points must be an array", "points")
     points = []
-    number, optional_str = (int, float), (str, type(None))
     for i, entry in enumerate(raw_points):
-        # the plain JSON types take the fast path; anything else, such as a
-        # missing field or an int subclass, goes through _checked_point,
-        # which formats positions only there
-        if type(entry) is dict:
-            view, frame = entry.get("view"), entry.get("frame")
-            x, y = entry.get("x"), entry.get("y")
-            pid, label = entry.get("id"), entry.get("class")
-            if (
-                type(view) is int
-                and type(frame) is int
-                and type(x) in number
-                and type(y) in number
-                and type(pid) in optional_str
-                and type(label) in optional_str
-            ):
-                points.append(Point(view, frame, float(x), float(y), pid, label))
-                continue
-        points.append(_checked_point(entry, f"points[{i}]"))
+        if not isinstance(entry, dict):
+            raise DatasetError("point must be an object", f"points[{i}]")
+        points.append(
+            Point(
+                view=_int_field(entry, "view", i),
+                frame=_int_field(entry, "frame", i),
+                x=_number_field(entry, "x", i),
+                y=_number_field(entry, "y", i),
+                id=_opt_str_field(entry, "id", i),
+                class_label=_opt_str_field(entry, "class", i),
+            )
+        )
     return Dataset(
-        n_views=_as_int(_require(data, "n_views", "$"), "n_views"),
-        n_frames=_as_int(_require(data, "n_frames", "$"), "n_frames"),
-        image_width=_as_int(_require(data, "image_width", "$"), "image_width"),
-        image_height=_as_int(_require(data, "image_height", "$"), "image_height"),
+        n_views=_int_field(data, "n_views"),
+        n_frames=_int_field(data, "n_frames"),
+        image_width=_int_field(data, "image_width"),
+        image_height=_int_field(data, "image_height"),
         points=tuple(points),
         role=role,
     )

@@ -373,14 +373,6 @@ def view_masks(dataset: Dataset) -> dict[tuple[int, str | None], int]:
     return masks
 
 
-def global_id_table(id_map: IdMap) -> dict[int, dict[str, str]]:
-    """Per view, the global ground-truth id of each relabelled id string."""
-    return {
-        view: {str(local): gid for local, gid in mapping.items()}
-        for view, mapping in id_map.to_global.items()
-    }
-
-
 def classify_correspondence(
     tp_instances: Sequence[TpInstance],
     gt: Dataset,
@@ -391,7 +383,6 @@ def classify_correspondence(
     *,
     gt_views: dict[tuple[int, str | None], int] | None = None,
     pred_views: dict[tuple[int, str | None], int] | None = None,
-    global_ids: dict[int, dict[str, str]] | None = None,
 ) -> CorresTally:
     """Classify each true positive against every other view of its frame.
 
@@ -403,13 +394,12 @@ def classify_correspondence(
     therefore yields empty triples, scored as fully corresponded.
 
     Every view is a bit, so a true positive is classified with a few mask
-    operations instead of a loop over views. ``gt_views``, ``pred_views``
-    and ``global_ids`` may pass in ``view_masks(gt)``, ``view_masks(pred)``
-    and ``global_id_table(id_map)`` when the caller already holds them.
+    operations instead of a loop over views. ``gt_views`` and
+    ``pred_views`` may pass in ``view_masks(gt)`` and ``view_masks(pred)``
+    when the caller already holds them.
     """
     n_views = n_views if n_views is not None else gt.n_views
-    if global_ids is None and id_map is not None:
-        global_ids = global_id_table(id_map)
+    global_ids = id_map.by_point_id if id_map is not None else None
     if gt_views is None:
         gt_views = view_masks(gt)
     if pred_views is None:
@@ -587,6 +577,10 @@ def occlusion_index(gt: Dataset) -> OcclusionReport:
 _UNLABELLED = "(none)"
 
 
+class EvaluationError(ValueError):
+    """Raised for a well-formed dataset pair that cannot be scored as asked."""
+
+
 class Scene:
     """The state of one (ground truth, prediction) pair that no radius changes.
 
@@ -606,7 +600,7 @@ class Scene:
         if gt.role is not Role.GROUND_TRUTH or pred.role is not Role.PREDICTION:
             raise ValueError("evaluate expects (ground truth, prediction) in that order")
         if (gt.image_width, gt.image_height) != (pred.image_width, pred.image_height):
-            raise ValueError("image dimensions differ; scores would not be comparable")
+            raise EvaluationError("image dimensions differ; scores would not be comparable")
         if not radius > 0:
             raise ValueError("radius must be positive")
         self.gt = gt
@@ -625,10 +619,6 @@ class Scene:
     @cached_property
     def occlusion(self) -> OcclusionReport:
         return occlusion_index(self.gt)
-
-    @cached_property
-    def global_ids(self) -> dict[int, dict[str, str]]:
-        return global_id_table(self.relabelled[1])
 
     @cached_property
     def gt_views(self) -> dict[tuple[int, str | None], int]:
@@ -671,7 +661,7 @@ class Scene:
             key=lambda x: (x is None, x),
         )
         if None in labels and _UNLABELLED in labels:
-            raise ValueError(
+            raise EvaluationError(
                 f"class label {_UNLABELLED!r} collides with the per-class key of "
                 "unlabelled points"
             )
@@ -764,10 +754,10 @@ def evaluate_detailed(
         gt,
         matches,
         pred_ids,
+        id_map=id_map,
         n_views=n_views,
         gt_views=scene.gt_views,
         pred_views=scene.pred_views if pred_ids is pred else None,
-        global_ids=scene.global_ids,
     )
     corres = correspondence_accuracy(corres_tally, config.zero_tp_policy)
     loc_acc = _mean([d for _, _, _, _, d in tp_instances], 0.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -178,6 +179,17 @@ def test_geometry_mismatch_requires_force(tmp_path):
     assert "geometry" in blocked.stderr
     forced = run_cli("evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--force")
     assert forced.returncode == 0
+
+
+def test_forced_pair_of_different_image_sizes_is_an_error(tmp_path):
+    gt, pred = generate(SynthConfig(n_views=1, n_frames=2, n_points=2, seed=4))
+    gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+    serialize_dataset(gt, gt_path)
+    serialize_dataset(replace(pred, image_width=pred.image_width + 20), pred_path)
+    forced = run_cli("evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--force")
+    assert forced.returncode == 1
+    assert forced.stdout == ""
+    assert forced.stderr == "error: image dimensions differ; scores would not be comparable\n"
 
 
 def test_assign_ids_flag_reassigns(scene):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import io
 import json
 
@@ -93,28 +92,6 @@ def test_schema_violations_carry_positions(mutate, position_part):
     with pytest.raises(DatasetError) as err:
         dataset_from_dict(doc, Role.GROUND_TRUTH)
     assert position_part in str(err.value)
-
-
-def test_points_off_the_plain_json_path_parse_as_before():
-    class Frame(enum.IntEnum):
-        FIRST = 0
-
-    doc = json.loads(json.dumps(MINIMAL))
-    doc["points"][0]["frame"] = Frame.FIRST  # an int subclass is an integer
-    assert dataset_from_dict(doc, Role.GROUND_TRUTH).points[0] == Point(0, 0, 10.0, 10.0, "a")
-    for field, value, message in [
-        ("view", True, "points[0].view: expected integer, got True"),
-        ("x", None, "points[0].x: expected number, got None"),
-        ("class", 3, "points[0].class: expected string or null, got 3"),
-    ]:
-        doc = json.loads(json.dumps(MINIMAL))
-        doc["points"][0][field] = value
-        with pytest.raises(DatasetError) as err:
-            dataset_from_dict(doc, Role.GROUND_TRUTH)
-        assert str(err.value) == message
-    doc["points"][0] = [0, 0]
-    with pytest.raises(DatasetError, match=r"^points\[0\]: point must be an object$"):
-        dataset_from_dict(doc, Role.GROUND_TRUTH)
 
 
 def test_malformed_json_reports_location():

@@ -14,6 +14,7 @@ from mvteval.matching import match_frame
 from mvteval.metrics import (
     AssTally,
     DetTally,
+    EvaluationError,
     build_association_tally,
     classify_correspondence,
     correspondence_accuracy,
@@ -781,7 +782,7 @@ def test_per_class_label_colliding_with_the_unlabelled_key_raises():
     points_pred = [Point(view=0, frame=0, x=20, y=20, id="p", class_label="(none)")]
     gt = dataset(points_gt, n_views=1, n_frames=1)
     pred = dataset(points_pred, n_views=1, n_frames=1, role=Role.PREDICTION)
-    with pytest.raises(ValueError, match=r"'\(none\)' collides"):
+    with pytest.raises(EvaluationError, match=r"'\(none\)' collides"):
         evaluate(gt, pred, EvalConfig(alpha=6.0, per_class=True))
     assert evaluate(gt, pred, CONFIG).tallies["tp"] == 1
     labelled_only = gt.with_points(points_gt[:1])
