@@ -156,24 +156,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = result.report
 
     if args.dump_matches:
-        dump = []
-        for m in result.matches:
-            dump.append(
-                {
-                    "view": m.view,
-                    "frame": m.frame,
-                    "tp": [
-                        {
-                            "gt": result.id_map.global_id(m.view, int(g)),
-                            "pred": p,
-                            "distance": d,
-                        }
-                        for g, p, d in m.tp_pairs
-                    ],
-                    "fp": list(m.fp_ids),
-                    "fn": [result.id_map.global_id(m.view, int(g)) for g in m.fn_ids],
-                }
-            )
+        dump = [
+            {
+                "view": m.view,
+                "frame": m.frame,
+                "tp": [{"gt": g, "pred": p, "distance": d} for g, p, d in m.tp_pairs],
+                "fp": list(m.fp_ids),
+                "fn": list(m.fn_ids),
+            }
+            for m in result.matches
+        ]
         Path(args.dump_matches).write_text(
             json.dumps(dump, indent=2) + "\n", encoding="utf-8"
         )

@@ -13,7 +13,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Any, Iterable
 
@@ -165,22 +164,8 @@ class IdMap:
     to_local: dict[int, dict[str, int]]
     to_global: dict[int, dict[int, str]]
 
-    def local(self, view: int, global_id: str) -> int:
-        return self.to_local[view][global_id]
-
-    def global_id(self, view: int, local_id: int) -> str:
-        return self.to_global[view][local_id]
-
     def has_global(self, view: int, global_id: str) -> bool:
         return global_id in self.to_local.get(view, {})
-
-    @cached_property
-    def by_point_id(self) -> dict[int, dict[str, str]]:
-        """Per view, the global id of each relabelled point id (its string form)."""
-        return {
-            view: {str(local): gid for local, gid in mapping.items()}
-            for view, mapping in self.to_global.items()
-        }
 
 
 @dataclass(frozen=True)

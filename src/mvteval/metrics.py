@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import fsum
 from typing import Any, Iterable, Sequence
@@ -75,19 +75,6 @@ class AssTally:
             self.gt_frames[(view, gt_id)] - tpa,
             self.pred_frames[(view, pred_id)] - tpa,
         )
-
-    def tpa(self, view: int, gt_id: str, pred_id: str) -> int:
-        return self.pair_frames[(view, gt_id, pred_id)]
-
-    def fna(self, view: int, gt_id: str, pred_id: str) -> int:
-        return self.gt_frames[(view, gt_id)] - self.tpa(view, gt_id, pred_id)
-
-    def fpa(self, view: int, gt_id: str, pred_id: str) -> int:
-        return self.pred_frames[(view, pred_id)] - self.tpa(view, gt_id, pred_id)
-
-    def score(self, view: int, gt_id: str, pred_id: str) -> float:
-        tpa, fna, fpa = self.terms(view, gt_id, pred_id)
-        return tpa / (tpa + fna + fpa)
 
 
 @dataclass(frozen=True)
@@ -283,12 +270,20 @@ def _fmt(value: float | None) -> str:
 
 @dataclass(frozen=True)
 class EvaluationResult:
-    """Report plus the intermediates the pipeline produced on the way."""
+    """Report plus the intermediates the pipeline produced on the way.
+
+    The matches carry the ground truth's own ids. ``id_map``, the per-view
+    relabelling of ``remap_gt_ids``, is built from ``gt`` on first access.
+    """
 
     report: MetricReport
     matches: tuple[FrameMatch, ...]
-    id_map: IdMap
+    gt: Dataset
     pred_with_ids: Dataset
+
+    @cached_property
+    def id_map(self) -> IdMap:
+        return remap_gt_ids(self.gt)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +316,7 @@ def build_association_tally(
     """Count identity occurrences per view for the association scores.
 
     ``gt`` and ``pred`` must be the datasets the matches were produced
-    from (ground truth already relabelled, predictions already carrying
-    ids).
+    from (predictions already carrying ids).
     """
     pair_frames: dict[tuple[int, str, str], int] = {}
     gt_frames: dict[tuple[int, str], int] = {}
@@ -342,6 +336,12 @@ def build_association_tally(
 
 def _mean(values: Sequence[float], empty: float) -> float:
     return fsum(values) / len(values) if values else empty
+
+
+def _macro(items: Iterable[Any], attr: str) -> float | None:
+    """Mean of ``attr`` over the items where it is not None; None if it never is."""
+    defined = [x for x in (getattr(item, attr) for item in items) if x is not None]
+    return fsum(defined) / len(defined) if defined else None
 
 
 def _association(
@@ -378,7 +378,6 @@ def classify_correspondence(
     gt: Dataset,
     matches: Iterable[FrameMatch],
     pred: Dataset,
-    id_map: IdMap | None = None,
     n_views: int | None = None,
     *,
     gt_views: dict[tuple[int, str | None], int] | None = None,
@@ -399,27 +398,23 @@ def classify_correspondence(
     when the caller already holds them.
     """
     n_views = n_views if n_views is not None else gt.n_views
-    global_ids = id_map.by_point_id if id_map is not None else None
     if gt_views is None:
         gt_views = view_masks(gt)
     if pred_views is None:
         pred_views = view_masks(pred)
 
-    # (frame, global gt id) -> the views where that point was matched
+    # (frame, gt id) -> the views where that point was matched
     tp_views: dict[tuple[int, str], int] = {}
     for m in matches:
-        if not m.tp_pairs:
-            continue
-        names = global_ids[m.view] if global_ids is not None else None
         bit = 1 << m.view
         for g, _, _ in m.tp_pairs:
-            key = (m.frame, names[g] if names is not None else g)
+            key = (m.frame, g)
             tp_views[key] = tp_views.get(key, 0) | bit
 
     all_views = (1 << n_views) - 1
     per_tp = []
     for v, f, g, p, _ in tp_instances:
-        key = (f, global_ids[v][g] if global_ids is not None else g)
+        key = (f, g)
         others = all_views & ~(1 << v)
         annotated = gt_views.get(key, 0) & others
         matched = tp_views.get(key, 0) & annotated
@@ -586,11 +581,11 @@ class Scene:
 
     One scene serves every radius up to ``radius``: pass it to each
     ``evaluate_detailed`` call on the pair, as ``--alpha-sweep`` does. It
-    holds the ground-truth relabelling, the occlusion report, the view masks
-    of every (frame, id), the per-view point totals and, for every (view,
-    frame), the ground-truth/prediction pairs closer than ``radius``, nearest
-    first, so that a smaller radius reads its pairs as a prefix. Each part is
-    built on first use. The scene also keeps the frame matches already made:
+    holds the occlusion report, the view masks of every (frame, id), the
+    per-view point totals and, for every (view, frame), the
+    ground-truth/prediction pairs closer than ``radius``, nearest first, so
+    that a smaller radius reads its pairs as a prefix. Each part is built on
+    first use. The scene also keeps the frame matches already made:
     a frame whose within-radius pairs and prediction ids are those of a radius
     already scored gets that radius's match back. Results are the same with
     a shared scene and without one.
@@ -611,10 +606,6 @@ class Scene:
         self.n_frames = max(gt.n_frames, pred.n_frames)
         # (view, frame, number of pairs within the radius, prediction ids)
         self._frame_matches: dict[tuple[int, int, int, tuple[str, ...]], FrameMatch] = {}
-
-    @cached_property
-    def relabelled(self) -> tuple[Dataset, IdMap]:
-        return remap_gt_ids(self.gt)
 
     @cached_property
     def occlusion(self) -> OcclusionReport:
@@ -692,12 +683,12 @@ def evaluate_detailed(
 ) -> EvaluationResult:
     """Like ``evaluate`` but keeps the intermediate artifacts.
 
-    Pipeline: relabel ground-truth ids per view, assign prediction ids by
-    temporal matching where missing, match every (view, frame), then
-    tally. Deterministic for a given input pair and config. ``scene``, a
-    ``Scene`` of this same pair with a radius of at least ``config.alpha``,
-    only skips work already done for another radius; without it the call
-    builds its own.
+    Pipeline: assign prediction ids by temporal matching where missing,
+    match every (view, frame) on the ground truth's own ids, then tally.
+    Deterministic for a given input pair and config. ``scene``, a ``Scene``
+    of this same pair with a radius of at least ``config.alpha``, only skips
+    work already done for another radius; without it the call builds its
+    own.
     """
     config = config or EvalConfig()
     if scene is None:
@@ -715,7 +706,6 @@ def evaluate_detailed(
     # the occlusion report first, so its working sets are freed before the
     # view masks and the frame pairs are built
     occlusion = scene.occlusion
-    remapped, id_map = scene.relabelled
     pred_ids = assign_temporal_ids(pred, config)
 
     # per-view lists, in (view, frame) order, so the per-view scores below
@@ -730,7 +720,7 @@ def evaluate_detailed(
             key = (v, f, len(near), tuple(p.id for p in ps))
             m = scene._frame_matches.get(key)
             if m is None:
-                m = match_frame(remapped.at(v, f), ps, config, scene.dims, v, f, near)
+                m = match_frame(gt.at(v, f), ps, config, scene.dims, v, f, near)
                 scene._frame_matches[key] = m
             row.append(m)
         view_matches.append(row)
@@ -747,14 +737,13 @@ def evaluate_detailed(
     det_scores = detection_scores(det)
     # the tally is dropped once scored, before the correspondence sets exist
     ass, view_ass, (tpa, fna, fpa) = _association(
-        view_tp, build_association_tally(remapped, pred_ids, matches), config.zero_tp_policy
+        view_tp, build_association_tally(gt, pred_ids, matches), config.zero_tp_policy
     )
     corres_tally = classify_correspondence(
         tp_instances,
         gt,
         matches,
         pred_ids,
-        id_map=id_map,
         n_views=n_views,
         gt_views=scene.gt_views,
         pred_views=scene.pred_views if pred_ids is pred else None,
@@ -783,13 +772,9 @@ def evaluate_detailed(
                 f1=v_scores.f1,
                 hota=hota(v_scores.det_acc, v_ass),
                 mota=mota(v_gt_total, v_det.fn, v_det.fp, switches.get(v, 0)),
-                idf1=idf1(remapped, pred_ids, v, alpha, view_near[v]),
+                idf1=idf1(gt, pred_ids, v, alpha, view_near[v]),
             )
         )
-
-    def view_mean(values: list[float | None]) -> float | None:
-        defined = [x for x in values if x is not None]
-        return fsum(defined) / len(defined) if defined else None
 
     report = MetricReport(
         alpha=alpha,
@@ -798,10 +783,10 @@ def evaluate_detailed(
         det_acc=det_scores.det_acc,
         precision=det_scores.precision,
         recall=det_scores.recall,
-        f1=view_mean([v.f1 for v in per_view]),
-        mota=view_mean([v.mota for v in per_view]),
-        idf1=view_mean([v.idf1 for v in per_view]),
-        hota=view_mean([v.hota for v in per_view]),
+        f1=_macro(per_view, "f1"),
+        mota=_macro(per_view, "mota"),
+        idf1=_macro(per_view, "idf1"),
+        hota=_macro(per_view, "hota"),
         ass_acc=ass,
         corres_acc=corres,
         mv_hota=mv_hota(det_scores.det_acc, ass, corres),
@@ -826,16 +811,14 @@ def evaluate_detailed(
     return EvaluationResult(
         report=report,
         matches=tuple(matches),
-        id_map=id_map,
+        gt=gt,
         pred_with_ids=pred_ids,
     )
 
 
 def _evaluate_per_class(scene: Scene, config: EvalConfig) -> EvaluationResult:
     """Run the whole pipeline once per class label and macro-average."""
-    sub_config = EvalConfig(
-        alpha=config.alpha, per_class=False, zero_tp_policy=config.zero_tp_policy
-    )
+    sub_config = replace(config, per_class=False)
     sub_reports: dict[str, MetricReport] = {}
     all_matches: list[FrameMatch] = []
     for key, sub in scene.classes:
@@ -844,26 +827,14 @@ def _evaluate_per_class(scene: Scene, config: EvalConfig) -> EvaluationResult:
         all_matches.extend(result.matches)
 
     reports = [sub_reports[k] for k in sorted(sub_reports)]
-
-    def macro(attr: str) -> float | None:
-        defined = [getattr(r, attr) for r in reports if getattr(r, attr) is not None]
-        return fsum(defined) / len(defined) if defined else None
-
-    def macro_occ(attr: str) -> float | None:
-        defined = [
-            getattr(r.occlusion, attr)
-            for r in reports
-            if getattr(r.occlusion, attr) is not None
-        ]
-        return fsum(defined) / len(defined) if defined else None
-
+    occlusions = [r.occlusion for r in reports]
     occ = OcclusionReport(
-        simple=macro_occ("simple"),
+        simple=_macro(occlusions, "simple"),
         weighted_per_view=None,
-        weighted_mean=macro_occ("weighted_mean"),
+        weighted_mean=_macro(occlusions, "weighted_mean"),
         temporal_per_view=None,
-        temporal_mean=macro_occ("temporal_mean"),
-        multiview=macro_occ("multiview"),
+        temporal_mean=_macro(occlusions, "temporal_mean"),
+        multiview=_macro(occlusions, "multiview"),
     )
     tallies: dict[str, int] = {}
     for r in reports:
@@ -874,17 +845,17 @@ def _evaluate_per_class(scene: Scene, config: EvalConfig) -> EvaluationResult:
         alpha=config.alpha,
         n_views=max(r.n_views for r in reports),
         n_frames=max(r.n_frames for r in reports),
-        det_acc=macro("det_acc"),
-        precision=macro("precision"),
-        recall=macro("recall"),
-        f1=macro("f1"),
-        mota=macro("mota"),
-        idf1=macro("idf1"),
-        hota=macro("hota"),
-        ass_acc=macro("ass_acc"),
-        corres_acc=macro("corres_acc"),
-        mv_hota=macro("mv_hota"),
-        loc_acc=macro("loc_acc"),
+        det_acc=_macro(reports, "det_acc"),
+        precision=_macro(reports, "precision"),
+        recall=_macro(reports, "recall"),
+        f1=_macro(reports, "f1"),
+        mota=_macro(reports, "mota"),
+        idf1=_macro(reports, "idf1"),
+        hota=_macro(reports, "hota"),
+        ass_acc=_macro(reports, "ass_acc"),
+        corres_acc=_macro(reports, "corres_acc"),
+        mv_hota=_macro(reports, "mv_hota"),
+        loc_acc=_macro(reports, "loc_acc"),
         occlusion=occ,
         tallies=tallies,
         per_view=(),
@@ -893,6 +864,6 @@ def _evaluate_per_class(scene: Scene, config: EvalConfig) -> EvaluationResult:
     return EvaluationResult(
         report=report,
         matches=tuple(all_matches),
-        id_map=scene.relabelled[1],
+        gt=scene.gt,
         pred_with_ids=scene.pred,
     )

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -342,3 +344,22 @@ def test_validate_subcommand(tmp_path, scene):
     mismatch = run_cli("validate", "--gt", str(a), "--pred", str(b))
     assert mismatch.returncode == 1
     assert "geometry-mismatch" in mismatch.stdout
+
+
+def readme_commands():
+    """The ``mvteval`` commands of the README's "Command line" block, in order."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()  # join continued lines
+    commands = [shlex.split(line, comments=True) for line in lines]
+    return [words for words in commands if words[:1] == ["mvteval"]]
+
+
+def test_every_readme_command_runs_as_written(tmp_path):
+    commands = readme_commands()
+    assert len(commands) >= 5
+    # in an empty directory, top to bottom, as a reader would paste them
+    for words in commands:
+        result = run_cli(*words[1:], cwd=tmp_path)
+        assert result.returncode == 0, (shlex.join(words), result.stderr)

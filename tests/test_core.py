@@ -166,7 +166,7 @@ def test_remap_inverse_restores_ids_exactly(seed):
     assert len(remapped.points) == len(gt.points)
     for original, local in zip(gt.points, remapped.points):
         assert (original.x, original.y) == (local.x, local.y)
-        assert id_map.global_id(local.view, int(local.id)) == original.id
+        assert id_map.to_global[local.view][int(local.id)] == original.id
     # contiguity: local indices per view are exactly 0..k-1
     for view, mapping in id_map.to_local.items():
         assert sorted(mapping.values()) == list(range(len(mapping)))

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvteval import metrics
 from mvteval.core import Dataset, EvalConfig, Point, Role, remap_gt_ids
 from mvteval.matching import match_frame
 from mvteval.metrics import (
@@ -166,22 +168,19 @@ def test_ass_tally_counts():
         gt_frames={(0, "0"): 5},
         pred_frames={(0, "p1"): 2, (0, "p2"): 3},
     )
-    assert tally.tpa(0, "0", "p1") == 2
-    assert tally.fna(0, "0", "p1") == 3
-    assert tally.fpa(0, "0", "p1") == 0
-    assert tally.score(0, "0", "p2") == pytest.approx(3 / 5)
+    assert tally.terms(0, "0", "p1") == (2, 3, 0)
+    tpa, fna, fpa = tally.terms(0, "0", "p2")
+    assert tpa / (tpa + fna + fpa) == pytest.approx(3 / 5)
 
 
 def test_ass_tally_built_from_pipeline():
-    from mvteval.core import remap_gt_ids
-
     gt, pred = _single_track_scene(["p1", "p1", "p2", "p2", "p2"])
     result = evaluate_detailed(gt, pred, CONFIG)
-    remapped, _ = remap_gt_ids(gt)  # matches carry the per-view local ids
-    tally = build_association_tally(remapped, result.pred_with_ids, result.matches)
-    assert tally.pair_frames[(0, "0", "p1")] == 2
-    assert tally.pair_frames[(0, "0", "p2")] == 3
-    assert tally.gt_frames[(0, "0")] == 5
+    (gt_id,) = {p.id for p in gt.points}  # matches carry the ground truth's own ids
+    tally = build_association_tally(gt, result.pred_with_ids, result.matches)
+    assert tally.pair_frames[(0, gt_id, "p1")] == 2
+    assert tally.pair_frames[(0, gt_id, "p2")] == 3
+    assert tally.gt_frames[(0, gt_id)] == 5
 
 
 def test_fpa_counts_spurious_frames_of_same_pred_id():
@@ -330,27 +329,23 @@ def correspondence_scenes(draw):
     return gt, pred
 
 
-@given(correspondence_scenes(), st.booleans())
+@given(correspondence_scenes())
 @settings(max_examples=300, deadline=None)
-def test_classify_correspondence_equals_the_per_view_rule(scene, relabel):
+def test_classify_correspondence_equals_the_per_view_rule(scene):
     gt, pred = scene
-    matched_gt, id_map = remap_gt_ids(gt) if relabel else (gt, None)
     matches = [
-        match_frame(matched_gt.at(v, f), pred.at(v, f), CONFIG, (200, 200), v, f)
+        match_frame(gt.at(v, f), pred.at(v, f), CONFIG, (200, 200), v, f)
         for v in range(gt.n_views)
         for f in range(gt.n_frames)
     ]
     tp_instances = [(m.view, m.frame, g, p, d) for m in matches for g, p, d in m.tp_pairs]
-    tally = classify_correspondence(tp_instances, gt, matches, pred, id_map, gt.n_views)
-
-    def global_id(v, g):
-        return id_map.global_id(v, int(g)) if id_map is not None else g
+    tally = classify_correspondence(tp_instances, gt, matches, pred, gt.n_views)
 
     gt_present = {(p.view, p.frame, p.id) for p in gt.points}
     pred_present = {(p.view, p.frame, p.id) for p in pred.points}
-    tp_gt = {(v, f, global_id(v, g)) for v, f, g, _, _ in tp_instances}
+    tp_gt = {(v, f, g) for v, f, g, _, _ in tp_instances}
     assert tally.per_tp == tuple(
-        corres_terms(gt.n_views, gt_present, pred_present, tp_gt, v, f, global_id(v, g), p)
+        corres_terms(gt.n_views, gt_present, pred_present, tp_gt, v, f, g, p)
         for v, f, g, p, _ in tp_instances
     )
 
@@ -640,6 +635,109 @@ def test_translation_invariance_of_scores():
     moved_r = evaluate(grow(gt, 60, 40, 400), grow(pred, 60, 40, 400), CONFIG)
     for key in SCORE_KEYS:
         assert getattr(base_r, key) == getattr(moved_r, key), key
+
+
+LABELS = ("a", "b", None)
+
+
+@st.composite
+def crowded_scenes(draw):
+    """A small, crowded synth scene with class labels spread over its points."""
+    gt, pred = generate(
+        SynthConfig(
+            n_views=draw(st.integers(1, 3)),
+            n_frames=draw(st.integers(1, 5)),
+            n_points=draw(st.integers(1, 6)),
+            image_width=64,
+            image_height=48,
+            motion_amplitude=8.0,
+            disparity=4.0,
+            pred_noise_sigma=1.5,
+            pred_miss_rate=0.1,
+            pred_fp_rate=0.5,
+            view_drop_prob=0.2,
+            id_switch_prob=0.1,
+            seed=draw(st.integers(0, 2**16)),
+        )
+    )
+    step = draw(st.integers(1, 2))
+    gt, pred = (
+        ds.with_points(
+            replace(p, class_label=LABELS[(step * i) % len(LABELS)])
+            for i, p in enumerate(ds.points)
+        )
+        for ds in (gt, pred)
+    )
+    return gt, pred
+
+
+@st.composite
+def renamings(draw, ids):
+    """An injective renaming of ``ids``; half of them reverse the ids' sort order."""
+    ids = sorted(ids)
+    if draw(st.booleans()):
+        names = [f"r{len(ids) - i:04d}" for i in range(len(ids))]
+    else:
+        names = draw(
+            st.lists(
+                st.text("a0Z9_", min_size=1, max_size=4),
+                min_size=len(ids),
+                max_size=len(ids),
+                unique=True,
+            )
+        )
+    return dict(zip(ids, names))
+
+
+@given(crowded_scenes(), st.data(), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_renaming_ids_leaves_the_report_unchanged(scene, data, per_class, strip_ids):
+    gt, pred = scene
+    if strip_ids:
+        pred = pred.with_points(replace(p, id=None) for p in pred.points)
+    gt_names = data.draw(renamings({p.id for p in gt.points}))
+    pred_names = data.draw(renamings({p.id for p in pred.points} - {None}))
+    renamed_gt = gt.with_points(replace(p, id=gt_names[p.id]) for p in gt.points)
+    renamed_pred = pred.with_points(replace(p, id=pred_names.get(p.id)) for p in pred.points)
+    config = EvalConfig(alpha=6.0, per_class=per_class)
+    assert evaluate(renamed_gt, renamed_pred, config).to_dict() == evaluate(
+        gt, pred, config
+    ).to_dict()
+
+
+@pytest.mark.parametrize("per_class", [False, True])
+def test_matches_carry_the_ground_truths_own_ids(monkeypatch, per_class):
+    gt, pred = generate(
+        SynthConfig(
+            n_views=3,
+            n_frames=6,
+            n_points=5,
+            pred_noise_sigma=1.5,
+            pred_miss_rate=0.2,
+            view_drop_prob=0.2,
+            seed=3,
+        )
+    )
+    if per_class:
+        gt = gt.with_points(
+            replace(p, class_label=LABELS[i % len(LABELS)]) for i, p in enumerate(gt.points)
+        )
+    calls = []
+
+    def counted(ds):
+        calls.append(ds)
+        return remap_gt_ids(ds)
+
+    monkeypatch.setattr(metrics, "remap_gt_ids", counted)
+    result = evaluate_detailed(gt, pred, EvalConfig(alpha=6.0, per_class=per_class))
+    own = {p.id for p in gt.points}
+    tp_ids = {g for m in result.matches for g, _, _ in m.tp_pairs}
+    fn_ids = {g for m in result.matches for g in m.fn_ids}
+    assert tp_ids and fn_ids and tp_ids | fn_ids <= own
+    # the relabelling is the whole ground truth's, built once on first read
+    assert not calls
+    assert result.id_map == result.id_map == remap_gt_ids(gt)[1]
+    assert calls == [gt]
 
 
 def test_score_ranges_on_noisy_scene():

@@ -125,9 +125,11 @@ def test_a_sweep_relabels_and_measures_occlusion_once(tmp_path, monkeypatch, ass
     calls = count_calls(monkeypatch, metrics, "remap_gt_ids", "occlusion_index")
     evaluations = count_calls(monkeypatch, cli, "evaluate_detailed")
     gt, pred = scene_pair()
-    flags = ["--alpha-sweep", "2:12:2"] + ["--assign-ids"] * assign_ids
+    flags = ["--alpha-sweep", "2:12:2", "--dump-matches", str(tmp_path / "matches.json")]
+    flags += ["--assign-ids"] * assign_ids
     run_sweep(tmp_path, gt, pred, *flags)
-    assert calls == {"remap_gt_ids": 1, "occlusion_index": 1}
+    # matching runs on the ground truth's own ids, so nothing is relabelled
+    assert calls == {"remap_gt_ids": 0, "occlusion_index": 1}
     assert evaluations == {"evaluate_detailed": 7}  # the headline and six radii
 
 
