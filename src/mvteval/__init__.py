@@ -15,17 +15,7 @@ from .core import (
     serialize_dataset,
     validate_pair,
 )
-from .matching import (
-    Assignment,
-    CostMatrix,
-    FrameMatch,
-    TrackRegistry,
-    assign_temporal_ids,
-    build_cost_matrix,
-    match_frame,
-    minimize_cost,
-    solve_assignment,
-)
+from .matching import FrameMatch, assign_temporal_ids, match_frame
 from .metrics import (
     EvaluationError,
     MetricReport,
@@ -40,8 +30,6 @@ from .metrics import (
 from .synth import SynthConfig, correspondence_contrast_fixture, generate, three_view_fixture
 
 __all__ = [
-    "Assignment",
-    "CostMatrix",
     "Dataset",
     "DatasetError",
     "EvalConfig",
@@ -54,23 +42,19 @@ __all__ = [
     "Role",
     "Scene",
     "SynthConfig",
-    "TrackRegistry",
     "ValidationReport",
     "assign_temporal_ids",
-    "build_cost_matrix",
     "evaluate",
     "evaluate_detailed",
     "correspondence_contrast_fixture",
     "generate",
     "hota",
     "match_frame",
-    "minimize_cost",
     "mv_hota",
     "occlusion_index",
     "parse_dataset",
     "remap_gt_ids",
     "serialize_dataset",
-    "solve_assignment",
     "three_view_fixture",
     "validate_pair",
 ]

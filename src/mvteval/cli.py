@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -92,6 +93,8 @@ def _parse_sweep(spec: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError("--alpha-sweep expects LO:HI:STEP")
     lo, hi, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError("--alpha-sweep needs finite LO, HI and STEP")
     if step <= 0 or lo <= 0 or hi < lo:
         raise ValueError("--alpha-sweep needs 0 < LO <= HI and STEP > 0")
     values = []

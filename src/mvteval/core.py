@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable
@@ -99,10 +98,6 @@ class Dataset:
             self, "_by_frame", {k: tuple(v) for k, v in by_frame.items()}
         )
 
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.image_width, self.image_height)
-
     def at(self, view: int, frame: int) -> tuple[Point, ...]:
         """Points of one (view, frame), in input order."""
         return self._by_frame.get((view, frame), ())
@@ -163,9 +158,6 @@ class IdMap:
 
     to_local: dict[int, dict[str, int]]
     to_global: dict[int, dict[int, str]]
-
-    def has_global(self, view: int, global_id: str) -> bool:
-        return global_id in self.to_local.get(view, {})
 
 
 @dataclass(frozen=True)

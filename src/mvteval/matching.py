@@ -1,10 +1,11 @@
 """Thresholded minimum-cost bipartite matching and its two uses.
 
-Distances below the detection radius enter the cost matrix as-is; every
-other pair is priced at the image diagonal, an upper bound on any true
-distance, so the solver can always return a complete assignment. Pairs
-assigned at the bound are not matches; they fall apart into one miss and
-one spurious detection afterwards.
+A detection counts only within the detection radius, so both uses start
+from the sparse list of within-radius pairs. The objective they stand for
+prices each pair at its distance and every other (row, column) cell at the
+image diagonal, an upper bound on any true distance, so a complete
+assignment always exists. Cells assigned at the bound are not matches;
+they fall apart into one miss and one spurious detection afterwards.
 
 Ties between optima are broken lexicographically by re-solving with one
 cell forced at a time. The optimal dual potentials of the first solve
@@ -12,10 +13,11 @@ rule out every cell with a positive reduced cost, since by complementary
 slackness no optimal assignment uses one, so only the remaining tight
 cells are probed and the result is the same as probing them all.
 
-Most thresholded matrices need no solver at all: when no two within-radius
-cells share a row or a column, those cells are in every optimum and every
-other cell costs exactly the bound, so ``solve_assignment`` writes the
-canonical assignment down directly (see its docstring for the argument).
+Most frames need no solver at all: when no two within-radius pairs share
+a point, those pairs are in every optimum and every other cell costs
+exactly the bound, so ``solve_assignment`` writes the canonical
+assignment down from the pairs alone, without building a matrix (see its
+docstring for the argument).
 """
 
 from __future__ import annotations
@@ -26,35 +28,6 @@ from math import fsum
 from typing import Sequence
 
 from .core import Dataset, EvalConfig, Point, Role
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Rectangular cost matrix and the bound its out-of-radius cells hold."""
-
-    entries: tuple[tuple[float, ...], ...]
-    diagonal_bound: float
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A maximal pairing of rows to columns of minimum total cost.
-
-    Among equal-cost optima the lexicographically smallest (row, col)
-    pair sequence is returned, so repeated runs and platform changes
-    cannot reshuffle tied matches.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-    total_cost: float
 
 
 @dataclass(frozen=True)
@@ -78,7 +51,7 @@ def near_pairs(
     """Every pair closer than ``alpha`` as (distance, index in a, index in b).
 
     Pairs come in row-major order. The distance is
-    ``math.hypot(a.x - b.x, a.y - b.y)``, the value the cost matrix holds.
+    ``math.hypot(a.x - b.x, a.y - b.y)``, the cost of assigning the pair.
     """
     pairs = []
     for r, a in enumerate(points_a):
@@ -88,35 +61,6 @@ def near_pairs(
             if d < alpha:
                 pairs.append((d, r, c))
     return pairs
-
-
-def build_cost_matrix(
-    points_a: Sequence[Point],
-    points_b: Sequence[Point],
-    alpha: float,
-    image_dims: tuple[int, int],
-) -> CostMatrix:
-    """Pairwise Euclidean distances, thresholded then bounded.
-
-    Empty inputs give a degenerate 0xN or Nx0 matrix, which solves to an
-    empty assignment.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return _thresholded(
-        len(points_a), len(points_b), near_pairs(points_a, points_b, alpha), image_dims
-    )
-
-
-def _thresholded(
-    n: int, m: int, pairs: Sequence[tuple[float, int, int]], image_dims: tuple[int, int]
-) -> CostMatrix:
-    """The n x m cost matrix holding ``pairs`` and the image diagonal elsewhere."""
-    bound = math.hypot(image_dims[0], image_dims[1])
-    rows = [[bound] * m for _ in range(n)]
-    for d, r, c in pairs:
-        rows[r][c] = d
-    return CostMatrix(entries=tuple(map(tuple, rows)), diagonal_bound=bound)
 
 
 def _hungarian(
@@ -199,63 +143,70 @@ def _hungarian(
     return pairs, row_pot, col_pot
 
 
-def solve_assignment(matrix: CostMatrix) -> Assignment:
-    """Solve a cost matrix to the canonical minimum-cost assignment.
+def solve_assignment(
+    n: int, m: int, pairs: Sequence[tuple[float, int, int]], image_dims: tuple[int, int]
+) -> tuple[tuple[int, int], ...]:
+    """Canonical minimum-cost assignment of n rows to m columns.
 
-    ``build_cost_matrix`` makes every cell either a distance ``d < alpha``
-    or exactly the bound ``B``. When every other cell lies more than the
-    tolerance ``1e-9 * (n + m) * max(1, B)`` of ``minimize_cost`` below
+    ``pairs`` holds each within-radius ``(d, r, c)`` as ``near_pairs`` gives
+    it, in any order; every other cell costs the image diagonal ``B``, as
+    does a pair at exactly ``d == B``. When every other pair lies more than
+    the tolerance ``1e-9 * (n + m) * max(1, B)`` of ``minimize_cost`` below
     ``B`` and no two of them share a row or a column, the result is written
-    down without a solve; otherwise ``minimize_cost`` decides. The closed
-    form is exactly what ``minimize_cost`` returns:
+    down from the pairs without a solve; otherwise ``minimize_cost`` decides
+    on the dense n x m matrix. The closed form is exactly what
+    ``minimize_cost`` returns:
 
-    1. Every optimum contains every such cell ``(r, c)``. Take a complete
+    1. Every optimum contains every such pair ``(r, c)``. Take a complete
        assignment without it, pair ``r`` with ``c`` and pair their old
-       partners with each other. The cells given up cost ``B``, since row
-       ``r`` and column ``c`` hold no other cell below ``B``, and the new
+       partners with each other. The cells given up cost ``B``, since no
+       other pair below ``B`` holds row ``r`` or column ``c``, and the new
        cell between the old partners costs at most ``B``. The cost changes
        by ``d - B`` if only one of ``r`` and ``c`` had a partner and by at
        most ``d + B - 2B`` if both did. Both are negative.
-    2. Every other cell equals ``B`` exactly, so every completion of these
-       forced cells has the same multiset of entries and the same ``fsum``.
+    2. Every other cell costs ``B`` exactly, so every completion of these
+       forced pairs has the same multiset of costs and the same ``fsum``.
        All completions tie, and the lexicographically smallest one fills
-       the rows in order, each row without a forced cell taking the
+       the rows in order, each row without a forced pair taking the
        smallest column that is neither forced nor taken, while one remains.
     3. The gap ``B - d`` exceeds the tolerance, which is far above one ulp
        of the total, so the exact ``fsum`` comparisons of ``minimize_cost``
        separate the same totals.
     """
-    entries, bound = matrix.entries, matrix.diagonal_bound
-    n, m = matrix.n_rows, matrix.n_cols
+    bound = math.hypot(image_dims[0], image_dims[1])
     below = bound - 1e-9 * (n + m) * max(1.0, bound)
-    forced: dict[int, int] = {}  # row -> its only cell below the bound
+    forced: dict[int, int] = {}  # row -> its only pair below the bound
     taken: set[int] = set()
-    for r, row in enumerate(entries):
-        unbounded = m - row.count(bound)
-        if unbounded == 0:
-            continue
-        d = min(row)
-        c = row.index(d)
-        if unbounded > 1 or d >= below or c in taken:
-            return minimize_cost(entries)
+    for d, r, c in pairs:
+        if d == bound:
+            continue  # costs what a cell outside the radius costs
+        if d >= below or r in forced or c in taken:
+            break
         forced[r] = c
         taken.add(c)
-    free = (c for c in range(m) if c not in taken)
-    pairs = []
-    for r in range(n):
-        c = forced.get(r)
-        if c is None:
-            c = next(free, None)
+    else:
+        free = (c for c in range(m) if c not in taken)
+        assigned = []
+        for r in range(n):
+            c = forced.get(r)
             if c is None:
-                continue
-        pairs.append((r, c))
-    return Assignment(
-        pairs=tuple(pairs), total_cost=fsum(entries[r][c] for r, c in pairs)
-    )
+                c = next(free, None)
+                if c is None:
+                    continue
+            assigned.append((r, c))
+        return tuple(assigned)
+    rows = [[bound] * m for _ in range(n)]
+    for d, r, c in pairs:
+        rows[r][c] = d
+    return minimize_cost(rows)
 
 
-def minimize_cost(entries: Sequence[Sequence[float]]) -> Assignment:
+def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
     """Canonical minimum-cost maximal assignment of any finite matrix.
+
+    Among equal-cost optima the lexicographically smallest (row, col) pair
+    sequence is returned, so repeated runs and platform changes cannot
+    reshuffle tied matches.
 
     A first solve pins the optimal total, one optimal completion and an
     optimal dual ``(u, v)``. Rows are then fixed in order: columns smaller
@@ -280,7 +231,7 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> Assignment:
     n = len(entries)
     m = len(entries[0]) if n else 0
     if n == 0 or m == 0:
-        return Assignment(pairs=(), total_cost=0.0)
+        return ()
 
     base, u, v = _hungarian(entries, range(n), range(m))
     target = fsum(entries[r][c] for r, c in base)
@@ -317,9 +268,7 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> Assignment:
         fixed.append((r, chosen))
         used.add(chosen)
 
-    return Assignment(
-        pairs=tuple(fixed), total_cost=fsum(entries[r][c] for r, c in fixed)
-    )
+    return tuple(fixed)
 
 
 def match_frame(
@@ -343,12 +292,11 @@ def match_frame(
     """
     if pairs is None:
         pairs = near_pairs(gt_points, pred_points, config.alpha)
-    matrix = _thresholded(len(gt_points), len(pred_points), pairs, image_dims)
     near = {(r, c): d for d, r, c in pairs}
     tp_rows: set[int] = set()
     tp_cols: set[int] = set()
     tp_pairs: list[tuple[str, str, float]] = []
-    for r, c in solve_assignment(matrix).pairs:
+    for r, c in solve_assignment(len(gt_points), len(pred_points), pairs, image_dims):
         d = near.get((r, c))
         if d is not None:
             tp_pairs.append((gt_points[r].id, pred_points[c].id, d))
@@ -424,12 +372,12 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
                 for t in candidates
             ]
             targets = [pred.points[i] for i in nameless]
-            matrix = build_cost_matrix(targets, anchor_points, config.alpha, dims)
-            assignment = solve_assignment(matrix)
+            near = near_pairs(targets, anchor_points, config.alpha)
+            within = {(r, c) for _, r, c in near}
 
             taken: set[int] = set()
-            for r, c in assignment.pairs:
-                if matrix.entries[r][c] < config.alpha:
+            for r, c in solve_assignment(len(targets), len(candidates), near, dims):
+                if (r, c) in within:
                     new_ids[nameless[r]] = candidates[c]
                     taken.add(r)
             for r, i in enumerate(nameless):

@@ -20,7 +20,6 @@ from typing import Any, Iterable, Sequence
 
 from .core import Dataset, EvalConfig, IdMap, Role, remap_gt_ids
 from .matching import (
-    Assignment,
     FrameMatch,
     assign_temporal_ids,
     match_frame,
@@ -511,8 +510,7 @@ def idf1(
     if gt_order and pred_order:
         ceiling = float(max(max(row) for row in overlap))
         costs = tuple(tuple(ceiling - o for o in row) for row in overlap)
-        assignment: Assignment = minimize_cost(costs)
-        idtp = sum(overlap[r][c] for r, c in assignment.pairs)
+        idtp = sum(overlap[r][c] for r, c in minimize_cost(costs))
     return 2 * idtp / (n_gt + n_pred)
 
 

@@ -73,6 +73,19 @@ def all_optimal_assignments(matrix):
     return best, sorted(p for p, c in costs.items() if c == best)
 
 
+def thresholded_matrix(n, m, pairs, image_dims):
+    """The dense n x m cost matrix that within-radius (d, r, c) pairs stand for.
+
+    Each pair's cell holds its distance and every other cell the image
+    diagonal.
+    """
+    bound = math.hypot(*image_dims)
+    rows = [[bound] * m for _ in range(n)]
+    for d, r, c in pairs:
+        rows[r][c] = d
+    return tuple(map(tuple, rows))
+
+
 # ---------------------------------------------------------------------------
 # frame matching oracle
 
@@ -173,7 +186,7 @@ def oracle_evaluate(gt: Dataset, pred: Dataset, config: EvalConfig | None = None
     """
     config = config or EvalConfig()
     alpha = config.alpha
-    diagonal = gt.diagonal
+    diagonal = math.hypot(gt.image_width, gt.image_height)
     n_views = max(gt.n_views, pred.n_views)
     n_frames = max(gt.n_frames, pred.n_frames)
 

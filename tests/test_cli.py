@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from mvteval import cli
 from mvteval.core import EvalConfig, Role, parse_dataset, serialize_dataset
 from mvteval.metrics import evaluate
 from mvteval.synth import SynthConfig, generate
@@ -168,6 +169,22 @@ def test_alpha_sweep_bad_spec(scene):
         "evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--alpha-sweep", "10:2:1"
     )
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize("spec", ["2:nan:2", "nan:4:1", "2:4:nan", "1:inf:1", "-inf:4:1", "2:4:inf"])
+def test_parse_sweep_rejects_non_finite_values(spec):
+    with pytest.raises(ValueError, match="finite"):
+        cli._parse_sweep(spec)
+
+
+def test_alpha_sweep_with_a_non_finite_bound_is_an_error(scene):
+    gt_path, pred_path = scene
+    result = run_cli(
+        "evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--alpha-sweep", "2:nan:2"
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: --alpha-sweep needs finite LO, HI and STEP\n"
 
 
 def test_geometry_mismatch_requires_force(tmp_path):

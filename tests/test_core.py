@@ -154,7 +154,7 @@ def test_remap_is_scoped_per_view():
     _, id_map = remap_gt_ids(ds)
     assert id_map.to_local[0] == {"a": 0}
     assert id_map.to_local[1] == {"b": 0}
-    assert not id_map.has_global(0, "b")
+    assert "b" not in id_map.to_local[0]
 
 
 @pytest.mark.parametrize("seed", range(6))

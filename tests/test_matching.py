@@ -1,10 +1,11 @@
-"""Cost matrices, the assignment solver and both of its uses."""
+"""The assignment solver, its sparse front end and both of its uses."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from math import fsum
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,17 @@ from mvteval import evaluate, matching, metrics
 from mvteval.core import Dataset, EvalConfig, Point, Role
 from mvteval.matching import (
     assign_temporal_ids,
-    build_cost_matrix,
     match_frame,
     minimize_cost,
+    near_pairs,
     solve_assignment,
 )
 from mvteval.synth import SynthConfig, generate
-from oracles import all_optimal_assignments, min_cost_assignment_by_permutations
+from oracles import (
+    all_optimal_assignments,
+    min_cost_assignment_by_permutations,
+    thresholded_matrix,
+)
 
 CONFIG = EvalConfig(alpha=6.0)
 DIMS = (100, 100)
@@ -30,31 +35,8 @@ def pt(x, y, id=None, view=0, frame=0):
     return Point(view=view, frame=frame, x=x, y=y, id=id)
 
 
-# ---------------------------------------------------------------------------
-# cost matrix
-
-
-def test_cost_matrix_keeps_distances_below_threshold():
-    m = build_cost_matrix([pt(0, 0)], [pt(3, 4)], 6.0, DIMS)
-    assert m.entries[0][0] == 5.0
-
-
-def test_cost_matrix_bounds_entries_at_image_diagonal():
-    m = build_cost_matrix([pt(0, 0)], [pt(10, 0)], 6.0, DIMS)
-    assert m.entries[0][0] == math.sqrt(20000)
-    assert m.entries[0][0] == m.diagonal_bound
-
-
-def test_cost_matrix_coincident_points():
-    m = build_cost_matrix([pt(7, 7)], [pt(7, 7)], 6.0, DIMS)
-    assert m.entries[0][0] == 0.0
-
-
-def test_cost_matrix_empty_sides():
-    assert build_cost_matrix([], [pt(1, 1)], 6.0, DIMS).n_rows == 0
-    m = build_cost_matrix([pt(1, 1)], [], 6.0, DIMS)
-    assert m.n_rows == 1 and m.n_cols == 0
-    assert solve_assignment(m).pairs == ()
+def total(matrix, pairs):
+    return fsum(matrix[r][c] for r, c in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -62,15 +44,11 @@ def test_cost_matrix_empty_sides():
 
 
 def test_solver_single_cell():
-    a = minimize_cost(((0.0,),))
-    assert a.pairs == ((0, 0),)
-    assert a.total_cost == 0.0
+    assert minimize_cost(((0.0,),)) == ((0, 0),)
 
 
 def test_solver_symmetric_two_by_two():
-    a = minimize_cost(((1.0, 2.0), (2.0, 1.0)))
-    assert a.pairs == ((0, 0), (1, 1))
-    assert a.total_cost == 2.0
+    assert minimize_cost(((1.0, 2.0), (2.0, 1.0))) == ((0, 0), (1, 1))
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (6, 4), (4, 6), (1, 7), (7, 1)])
@@ -82,8 +60,8 @@ def test_solver_equals_permutation_enumeration(shape):
         )
         got = minimize_cost(mat)
         want_cost, want_pairs = min_cost_assignment_by_permutations(mat)
-        assert got.total_cost == want_cost
-        assert got.pairs == want_pairs
+        assert total(mat, got) == want_cost
+        assert got == want_pairs
 
 
 @given(
@@ -104,9 +82,8 @@ def test_solver_equals_permutation_enumeration(shape):
 @settings(max_examples=300, deadline=None)
 def test_solver_optimality_property(rows):
     mat = tuple(tuple(row) for row in rows)
-    got = minimize_cost(mat)
     want_cost, _ = min_cost_assignment_by_permutations(mat)
-    assert got.total_cost == want_cost
+    assert total(mat, minimize_cost(mat)) == want_cost
 
 
 @pytest.mark.xfail(
@@ -124,7 +101,7 @@ def test_solver_finds_an_optimum_below_the_potentials_resolution():
     )
     want_cost, _ = min_cost_assignment_by_permutations(rows)
     assert want_cost == 256.5701673014381
-    assert minimize_cost(rows).total_cost == want_cost
+    assert total(rows, minimize_cost(rows)) == want_cost
 
 
 @given(
@@ -143,8 +120,8 @@ def test_solver_returns_lexicographically_smallest_optimum(rows):
     mat = tuple(tuple(float(x) for x in row) for row in rows)
     got = minimize_cost(mat)
     best, optima = all_optimal_assignments(mat)
-    assert got.total_cost == best
-    assert got.pairs == optima[0]
+    assert total(mat, got) == best
+    assert got == optima[0]
 
 
 @st.composite
@@ -158,62 +135,114 @@ def grid_points(draw):
 @given(grid_points(), grid_points(), st.sampled_from([1.5, 2.5, 4.5]))
 @settings(max_examples=300, deadline=None)
 def test_solver_lexicographic_on_tie_heavy_grid_matrices(gts, preds, alpha):
-    mat = build_cost_matrix(gts, preds, alpha, DIMS).entries
+    pairs = near_pairs(gts, preds, alpha)
+    mat = thresholded_matrix(len(gts), len(preds), pairs, DIMS)
     best, optima = all_optimal_assignments(mat)
     got = minimize_cost(mat)
-    assert got.total_cost == best
-    assert got.pairs == optima[0]
+    assert total(mat, got) == best
+    assert got == optima[0]
+    assert solve_assignment(len(gts), len(preds), pairs, DIMS) == optima[0]
 
 
 @st.composite
-def mixed_points(draw):
+def mixed_points(draw, max_points=8):
     # coarse-grid points tie often; uniform points and far false positives
     # near (90, 90) leave many rows and columns with no cell below alpha
     grid = st.integers(0, 4).map(lambda k: 2.0 * k)
     kinds = st.sampled_from([grid, grid, st.floats(0, 100), st.floats(85, 100)])
     points = []
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, max_points))):
         coords = draw(kinds)
         points.append(pt(draw(coords), draw(coords)))
     return points
 
 
-@given(
-    mixed_points(),
-    mixed_points(),
-    # the last radius exceeds the 141.4 px diagonal: every cell is a distance
-    st.sampled_from([1.5, 2.5, 4.5, 30.0, 150.0]),
-)
-@settings(max_examples=400, deadline=None)
-def test_solve_assignment_equals_the_solver_on_thresholded_matrices(gts, preds, alpha):
-    mat = build_cost_matrix(gts, preds, alpha, DIMS)
-    got = solve_assignment(mat)
-    want = minimize_cost(mat.entries)
-    assert got.pairs == want.pairs
-    assert got.total_cost == want.total_cost
-    if len(gts) <= 6 and len(preds) <= 6:
-        assert got.pairs == all_optimal_assignments(mat.entries)[1][0]
+# the last radius exceeds the 141.4 px diagonal: every cell is a distance
+RADII = st.sampled_from([1.5, 2.5, 4.5, 30.0, 150.0])
+
+
+@st.composite
+def pairs_of_points(draw):
+    """(n, m, pairs, True): two point sets and their within-radius pairs in a
+    shuffled order, small enough to check against the exhaustive optimum."""
+    gts, preds, alpha = draw(mixed_points()), draw(mixed_points()), draw(RADII)
+    return len(gts), len(preds), draw(st.permutations(near_pairs(gts, preds, alpha))), True
+
+
+@st.composite
+def pairs_beside_the_bound(draw):
+    """(n, m, pairs, False) where a pair at exactly the bound shares a row or a
+    column with another pair; a dense matrix cannot tell it from a cell
+    outside the radius.
+
+    Cells one ulp below the bound can make ``minimize_cost`` miss the exact
+    optimum by an ulp, the defect the strict xfail above pins, so these
+    cases are compared with the solver only, not with the exhaustive optimum.
+    """
+    bound = math.hypot(*DIMS)
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(2 if n == 1 else 1, 6))
+    distances = st.one_of(
+        st.sampled_from([1.0, 2.0, math.nextafter(bound, 0), bound]), st.floats(0, bound)
+    )
+    cells = {}
+    for _ in range(draw(st.integers(0, 6))):
+        cells[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = draw(distances)
+    r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
+    cells[r, c] = draw(st.floats(0, 10))
+    if n == 1 or (m > 1 and draw(st.booleans())):
+        cells[r, (c + draw(st.integers(1, m - 1))) % m] = bound
+    else:
+        cells[(r + draw(st.integers(1, n - 1))) % n, c] = bound
+    return n, m, draw(st.permutations([(d, r, c) for (r, c), d in cells.items()])), False
+
+
+@given(st.one_of(pairs_of_points(), pairs_beside_the_bound()))
+@settings(max_examples=600, deadline=None)
+def test_solve_assignment_equals_the_solver_on_thresholded_matrices(case):
+    n, m, pairs, exhaustive = case
+    mat = thresholded_matrix(n, m, pairs, DIMS)
+    got = solve_assignment(n, m, pairs, DIMS)
+    assert got == minimize_cost(mat)
+    if exhaustive and n <= 6 and m <= 6:
+        assert got == all_optimal_assignments(mat)[1][0]
+
+
+@given(mixed_points(max_points=15), mixed_points(max_points=15), RADII)
+@settings(max_examples=150, deadline=None)
+def test_solve_assignment_reaches_the_optimum_scipy_finds(gts, preds, alpha):
+    optimize = pytest.importorskip("scipy.optimize")
+    n, m = len(gts), len(preds)
+    pairs = near_pairs(gts, preds, alpha)
+    got = solve_assignment(n, m, pairs, DIMS)
+    assert len(got) == min(n, m)
+    if n and m:
+        mat = thresholded_matrix(n, m, pairs, DIMS)
+        rows, cols = optimize.linear_sum_assignment(mat)
+        want = fsum(mat[r][c] for r, c in zip(rows, cols))
+        assert math.isclose(total(mat, got), want, rel_tol=1e-12)
 
 
 def test_solve_assignment_leaves_cells_just_below_the_bound_to_the_solver():
     # one ulp below the bound, the within-alpha cell's total rounds to the
     # all-bound total, so the tie goes to the lexicographically smaller pairs
-    bound = math.hypot(*DIMS)
-    near = math.nextafter(bound, 0)
-    entries = ((bound, near), (bound, bound))
-    got = solve_assignment(matching.CostMatrix(entries, diagonal_bound=bound))
-    assert got == minimize_cost(entries)
-    assert got.pairs == ((0, 0), (1, 1))
+    pairs = [(math.nextafter(math.hypot(*DIMS), 0), 0, 1)]
+    got = solve_assignment(2, 2, pairs, DIMS)
+    assert got == minimize_cost(thresholded_matrix(2, 2, pairs, DIMS))
+    assert got == ((0, 0), (1, 1))
 
 
 def count_solves(monkeypatch):
-    """Count Hungarian solves, minimize_cost calls and match_frame calls."""
-    calls = {"solves": 0, "minimize": 0, "frames": 0}
+    """Count Hungarian solves, minimize_cost calls and match_frame calls, and
+    record the shape of each matrix that minimize_cost solves."""
+    calls = {"solves": 0, "minimize": 0, "frames": 0, "shapes": []}
     hungarian, minimize, frame = matching._hungarian, matching.minimize_cost, metrics.match_frame
 
     def counted(key, fn):
         def wrapper(*args):
             calls[key] += 1
+            if key == "minimize":
+                calls["shapes"].append((len(args[0]), len(args[0][0])))
             return fn(*args)
 
         return wrapper
@@ -230,15 +259,23 @@ def test_conflict_free_frame_needs_no_solve(monkeypatch, swap):
     calls = count_solves(monkeypatch)
     gts = [pt(10, 10, "a"), pt(40, 10, "b"), pt(10, 40, "c"), pt(60, 60, "missed")]
     preds = [pt(41, 11, "q"), pt(90, 90, "fp"), pt(12, 10, "p"), pt(10, 43, "r")]
+    crowded = gts + [pt(14, 10, "d")]  # as close to p as a is
+    frames = [(gts, preds), (crowded, preds)]
     if swap:
-        gts, preds = preds, gts
-    m = match_frame(gts, preds, CONFIG, DIMS)
-    assert calls["solves"] == 0
+        frames = [(b, a) for a, b in frames]
+    m = match_frame(*frames[0], CONFIG, DIMS)
+    assert calls["solves"] == calls["minimize"] == 0
     assert m.tp == 3
     assert {frozenset(pair[:2]) for pair in m.tp_pairs} == {
         frozenset("ap"), frozenset("bq"), frozenset("cr")
     }
     assert set(m.fn_ids) | set(m.fp_ids) == {"missed", "fp"}
+
+    # a conflict sends the whole frame, as one n x m matrix, to the solver
+    m = match_frame(*frames[1], CONFIG, DIMS)
+    assert calls["minimize"] == 1 and calls["solves"] > 0
+    assert calls["shapes"] == [tuple(map(len, frames[1]))]
+    assert m.tp == 3
 
 
 @pytest.mark.parametrize("strip_ids", [False, True])
@@ -277,8 +314,7 @@ def test_solver_tie_between_bound_and_real_pairs():
     # 0 takes the leftmost (bound-priced) column, row 1 the real match.
     bound = math.sqrt(20000)
     mat = ((bound, 3.0, bound), (bound, 3.0, bound))
-    a = minimize_cost(mat)
-    assert a.pairs == ((0, 0), (1, 1))
+    assert minimize_cost(mat) == ((0, 0), (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +322,10 @@ def test_solver_tie_between_bound_and_real_pairs():
 
 
 def test_match_frame_within_radius_is_tp():
-    m = match_frame([pt(10, 10, "g")], [pt(12, 10, "p")], CONFIG, DIMS)
-    assert m.tp_pairs == (("g", "p", 2.0),)
-    assert m.fp_ids == () and m.fn_ids == ()
+    for pred_x, distance in ((12, 2.0), (10, 0.0)):  # nearby, then coincident
+        m = match_frame([pt(10, 10, "g")], [pt(pred_x, 10, "p")], CONFIG, DIMS)
+        assert m.tp_pairs == (("g", "p", distance),)
+        assert m.fp_ids == () and m.fn_ids == ()
 
 
 def test_match_frame_beyond_radius_splits_fn_fp():
@@ -305,12 +342,14 @@ def test_match_frame_prefers_closest_prediction():
     assert m.fp_ids == ("far",)
 
 
-def test_match_frame_radius_beyond_the_diagonal():
+def test_match_frame_radius_beyond_the_diagonal(monkeypatch):
     # opposite corners sit exactly one diagonal apart, a true distance below
     # this radius; a point outside the image is farther than the bound
+    calls = count_solves(monkeypatch)
     config = EvalConfig(alpha=200.0)
     corner = match_frame([pt(0, 0, "g")], [pt(100, 100, "p")], config, DIMS)
     assert corner.tp_pairs == (("g", "p", math.hypot(*DIMS)),)
+    assert calls["minimize"] == 0  # a pair at the bound costs what any other cell does
     outside = match_frame([pt(0, 0, "g")], [pt(300, 0, "p")], config, DIMS)
     assert outside.tp_pairs == ()
     assert outside.fn_ids == ("g",) and outside.fp_ids == ("p",)
@@ -319,6 +358,11 @@ def test_match_frame_radius_beyond_the_diagonal():
 def test_match_frame_empty_inputs():
     m = match_frame([], [], CONFIG, DIMS)
     assert m.tp_pairs == () and m.fp_ids == () and m.fn_ids == ()
+    m = match_frame([], [pt(1, 1, "p")], CONFIG, DIMS)
+    assert m.tp_pairs == () and m.fp_ids == ("p",) and m.fn_ids == ()
+    m = match_frame([pt(1, 1, "g")], [], CONFIG, DIMS)
+    assert m.tp_pairs == () and m.fp_ids == () and m.fn_ids == ("g",)
+    assert solve_assignment(0, 1, [], DIMS) == solve_assignment(1, 0, [], DIMS) == ()
 
 
 @st.composite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -83,7 +84,7 @@ def test_every_sweep_row_equals_a_fresh_evaluation(tmp_path, per_class, assign_i
         )
 
     radii = [row["alpha"] for row in payload["alpha_sweep"]]
-    assert 6.0 in radii and radii[-1] > gt.diagonal
+    assert 6.0 in radii and radii[-1] > math.hypot(gt.image_width, gt.image_height)
     for row in payload["alpha_sweep"]:
         report = evaluate(gt, pred, EvalConfig(alpha=row["alpha"], per_class=per_class))
         assert row == {"alpha": row["alpha"], **{k: getattr(report, k) for k in cli._SWEEP_KEYS}}
