@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure (geometry mismatch without
 --force, a pair that cannot be scored even with --force, invalid generator
-settings), 2 unreadable or malformed input.
+settings, a radius that is not positive and finite), 2 unreadable or
+malformed input, or an output that cannot be written.
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
 """
@@ -105,11 +106,14 @@ def _parse_sweep(spec: str) -> list[float]:
     return values
 
 
-def _write(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _write_file(text: str, path: str) -> bool:
+    """Write ``text`` to ``path``; on failure print an ``error:`` line, return False."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -169,9 +173,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             }
             for m in result.matches
         ]
-        Path(args.dump_matches).write_text(
-            json.dumps(dump, indent=2) + "\n", encoding="utf-8"
-        )
+        if not _write_file(json.dumps(dump, indent=2) + "\n", args.dump_matches):
+            return 2
 
     sweep_rows: list[dict[str, Any]] = []
     for alpha in sweep_alphas:
@@ -194,9 +197,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 "pred": args.pred,
                 "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             }
-        _write(json.dumps(payload, indent=2) + "\n", args.output)
+        text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        _write(report.to_csv(), args.output)
+        text = report.to_csv()
     else:
         text = report.to_table()
         if sweep_rows:
@@ -207,7 +210,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                     "corres_acc={corres_acc:.4f}  mv_hota={mv_hota:.4f}".format(**row)
                 )
             text += "\n".join(lines) + "\n"
-        _write(text, args.output)
+    if args.output:
+        return 0 if _write_file(text, args.output) else 2
+    sys.stdout.write(text)
     return 0
 
 
@@ -234,8 +239,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    serialize_dataset(gt, args.out_gt)
-    serialize_dataset(pred, args.out_pred)
+    for dataset, path in ((gt, args.out_gt), (pred, args.out_pred)):
+        if not _write_file(serialize_dataset(dataset) + "\n", path):
+            return 2
     occlusion = occlusion_index(gt)
     print(f"wrote {args.out_gt} ({len(gt.points)} points)")
     print(f"wrote {args.out_pred} ({len(pred.points)} points)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Iterable
@@ -137,10 +138,11 @@ class Dataset:
 class EvalConfig:
     """Knobs shared by the whole evaluation pipeline.
 
-    ``alpha`` is the detection radius in pixels; a prediction counts as a
-    true positive only when its distance to the ground truth is strictly
-    below it. ``zero_tp_policy`` is the score assigned to the association
-    and correspondence accuracies when no true positive exists at all.
+    ``alpha`` is the detection radius in pixels, positive and finite; a
+    prediction counts as a true positive only when its distance to the
+    ground truth is strictly below it. ``zero_tp_policy``, within [0, 1], is the
+    score assigned to the association and correspondence accuracies when no
+    true positive exists at all.
     """
 
     alpha: float = 6.0
@@ -148,8 +150,10 @@ class EvalConfig:
     zero_tp_policy: float = 0.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
+        if not 0.0 <= self.zero_tp_policy <= 1.0:
+            raise ValueError("zero_tp_policy must be within [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -32,83 +32,6 @@ TpInstance = tuple[int, int, str, str, float]
 
 
 @dataclass(frozen=True)
-class DetTally:
-    """Detection counts pooled over all frames and views."""
-
-    tp: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn
-
-
-@dataclass(frozen=True)
-class DetectionScores:
-    det_acc: float
-    precision: float
-    recall: float
-    f1: float
-
-
-@dataclass(frozen=True)
-class AssTally:
-    """Per-view identity co-occurrence counts behind temporal association.
-
-    For a true positive c = (view, gt, pred), the frames where the same
-    pair recurs are its TPA; the other frames where the ground-truth id
-    appears are FNA; the other frames where the prediction id appears are
-    FPA.
-    """
-
-    pair_frames: dict[tuple[int, str, str], int]
-    gt_frames: dict[tuple[int, str], int]
-    pred_frames: dict[tuple[int, str], int]
-
-    def terms(self, view: int, gt_id: str, pred_id: str) -> tuple[int, int, int]:
-        """(TPA, FNA, FPA) of one true positive."""
-        tpa = self.pair_frames[(view, gt_id, pred_id)]
-        return (
-            tpa,
-            self.gt_frames[(view, gt_id)] - tpa,
-            self.pred_frames[(view, pred_id)] - tpa,
-        )
-
-
-@dataclass(frozen=True)
-class CorresTally:
-    """Cross-view correspondence classification for every true positive.
-
-    ``per_tp`` holds one (TPC, FPC, FNC) triple per matched point, in the
-    order of the true-positive list it was built from. Exactly one of the
-    three counters increments per corresponding view, so the triple sums
-    to the number of other views.
-    """
-
-    per_tp: tuple[tuple[int, int, int], ...]
-
-    @property
-    def tpc(self) -> int:
-        return sum(t for t, _, _ in self.per_tp)
-
-    @property
-    def fpc(self) -> int:
-        return sum(f for _, f, _ in self.per_tp)
-
-    @property
-    def fnc(self) -> int:
-        return sum(f for _, _, f in self.per_tp)
-
-    def scores(self) -> list[float]:
-        out = []
-        for tpc, fpc, fnc in self.per_tp:
-            denom = tpc + fpc + fnc
-            out.append(tpc / denom if denom else 1.0)
-        return out
-
-
-@dataclass(frozen=True)
 class OcclusionReport:
     """Occlusion indices of a ground-truth dataset (model independent).
 
@@ -289,48 +212,54 @@ class EvaluationResult:
 # tallies and scores
 
 
-def tally_detections(matches: Iterable[FrameMatch]) -> DetTally:
-    tp = fp = fn = 0
-    for m in matches:
-        tp += len(m.tp_pairs)
-        fp += len(m.fp_ids)
-        fn += len(m.fn_ids)
-    return DetTally(tp=tp, fp=fp, fn=fn)
+def detection_scores(tp: int, fp: int, fn: int) -> tuple[float, float, float, float]:
+    """Jaccard detection accuracy plus the frame-level companions.
 
-
-def detection_scores(tally: DetTally) -> DetectionScores:
-    """Jaccard detection accuracy plus the frame-level companions."""
-    tp, fp, fn = tally.tp, tally.fp, tally.fn
-    return DetectionScores(
-        det_acc=tp / tally.total if tally.total else 0.0,
-        precision=tp / (tp + fp) if tp + fp else 0.0,
-        recall=tp / (tp + fn) if tp + fn else 0.0,
-        f1=2 * tp / (2 * tp + fp + fn) if tally.total else 0.0,
+    Returns (det_acc, precision, recall, f1).
+    """
+    total = tp + fp + fn
+    return (
+        tp / total if total else 0.0,
+        tp / (tp + fp) if tp + fp else 0.0,
+        tp / (tp + fn) if tp + fn else 0.0,
+        2 * tp / (2 * tp + fp + fn) if total else 0.0,
     )
 
 
 def build_association_tally(
-    gt: Dataset, pred: Dataset, matches: Iterable[FrameMatch]
-) -> AssTally:
-    """Count identity occurrences per view for the association scores.
+    gt: Dataset, pred: Dataset, tp_instances: Sequence[TpInstance]
+) -> list[tuple[int, int, int]]:
+    """(TPA, FNA, FPA) of each true positive, in the order given.
 
-    ``gt`` and ``pred`` must be the datasets the matches were produced
-    from (predictions already carrying ids).
+    For a true positive c = (view, gt, pred), the frames of that view where
+    the same pair is matched are its TPA; the other frames where the
+    ground-truth id appears are FNA; the other frames where the prediction
+    id appears are FPA. ``gt`` and ``pred`` must be the datasets the true
+    positives were matched on (predictions already carrying ids).
     """
-    pair_frames: dict[tuple[int, str, str], int] = {}
-    gt_frames: dict[tuple[int, str], int] = {}
-    pred_frames: dict[tuple[int, str], int] = {}
-    for p in gt.points:
-        key = (p.view, p.id)
-        gt_frames[key] = gt_frames.get(key, 0) + 1
-    for p in pred.points:
-        key = (p.view, p.id)
-        pred_frames[key] = pred_frames.get(key, 0) + 1
-    for m in matches:
-        for g, p, _ in m.tp_pairs:
-            key = (m.view, g, p)
-            pair_frames[key] = pair_frames.get(key, 0) + 1
-    return AssTally(pair_frames=pair_frames, gt_frames=gt_frames, pred_frames=pred_frames)
+    gt_frames = Counter((p.view, p.id) for p in gt.points)
+    pred_frames = Counter((p.view, p.id) for p in pred.points)
+    pair_frames = Counter((v, g, p) for v, _, g, p, _ in tp_instances)
+    # every true positive of one (view, gt, pred) pair has the same terms
+    pair_terms = {
+        (v, g, p): (tpa, gt_frames[v, g] - tpa, pred_frames[v, p] - tpa)
+        for (v, g, p), tpa in pair_frames.items()
+    }
+    return [pair_terms[v, g, p] for v, _, g, p, _ in tp_instances]
+
+
+def _jaccard(terms: Sequence[tuple[int, int, int]], empty: float) -> float:
+    """Mean of h / (h + a + b) over per-true-positive (h, a, b) triples.
+
+    An all-zero triple scores 1; ``empty`` is the score without any triple.
+    """
+    if not terms:
+        return empty
+    return fsum(h / (h + a + b) if h + a + b else 1.0 for h, a, b in terms) / len(terms)
+
+
+def _column_sums(terms: Sequence[tuple[int, int, int]]) -> tuple[int, ...]:
+    return tuple(map(sum, zip(*terms))) if terms else (0, 0, 0)
 
 
 def _mean(values: Sequence[float], empty: float) -> float:
@@ -341,26 +270,6 @@ def _macro(items: Iterable[Any], attr: str) -> float | None:
     """Mean of ``attr`` over the items where it is not None; None if it never is."""
     defined = [x for x in (getattr(item, attr) for item in items) if x is not None]
     return fsum(defined) / len(defined) if defined else None
-
-
-def _association(
-    view_tp: Sequence[Sequence[TpInstance]], tally: AssTally, zero_tp_policy: float
-) -> tuple[float, list[float], tuple[int, int, int]]:
-    """Pooled and per-view association accuracy, and the summed (TPA, FNA, FPA).
-
-    Each true positive's Jaccard is computed once and serves both means.
-    """
-    tpa = fna = fpa = 0
-    view_scores: list[list[float]] = []
-    for row in view_tp:
-        scores = []
-        for v, _, g, p, _ in row:
-            tp_a, fn_a, fp_a = tally.terms(v, g, p)
-            scores.append(tp_a / (tp_a + fn_a + fp_a))
-            tpa, fna, fpa = tpa + tp_a, fna + fn_a, fpa + fp_a
-        view_scores.append(scores)
-    pooled = _mean([x for row in view_scores for x in row], zero_tp_policy)
-    return pooled, [_mean(row, zero_tp_policy) for row in view_scores], (tpa, fna, fpa)
 
 
 def view_masks(dataset: Dataset) -> dict[tuple[int, str | None], int]:
@@ -374,44 +283,33 @@ def view_masks(dataset: Dataset) -> dict[tuple[int, str | None], int]:
 
 def classify_correspondence(
     tp_instances: Sequence[TpInstance],
-    gt: Dataset,
-    matches: Iterable[FrameMatch],
-    pred: Dataset,
-    n_views: int | None = None,
-    *,
-    gt_views: dict[tuple[int, str | None], int] | None = None,
-    pred_views: dict[tuple[int, str | None], int] | None = None,
-) -> CorresTally:
-    """Classify each true positive against every other view of its frame.
+    gt_views: dict[tuple[int, str | None], int],
+    pred_views: dict[tuple[int, str | None], int],
+    n_views: int,
+) -> list[tuple[int, int, int]]:
+    """(TPC, FPC, FNC) of each true positive, against every other view of its frame.
 
     Where the same physical point is annotated in the other view, a
     matched detection there is a true correspondence and a missing one a
     false negative correspondence. Where it is not annotated, the
     prediction identity showing up anyway is a false positive
-    correspondence; its absence is (vacuously) correct. Single-view data
-    therefore yields empty triples, scored as fully corresponded.
+    correspondence; its absence is (vacuously) correct. Exactly one of the
+    three counters increments per other view, so each triple sums to
+    ``n_views - 1``; single-view data yields empty triples.
 
-    Every view is a bit, so a true positive is classified with a few mask
-    operations instead of a loop over views. ``gt_views`` and
-    ``pred_views`` may pass in ``view_masks(gt)`` and ``view_masks(pred)``
-    when the caller already holds them.
+    ``gt_views`` and ``pred_views`` are the ``view_masks`` of the ground
+    truth and of the predictions (carrying ids) the true positives were
+    matched on. Every view is a bit, so a true positive is classified with
+    a few mask operations instead of a loop over views.
     """
-    n_views = n_views if n_views is not None else gt.n_views
-    if gt_views is None:
-        gt_views = view_masks(gt)
-    if pred_views is None:
-        pred_views = view_masks(pred)
-
     # (frame, gt id) -> the views where that point was matched
     tp_views: dict[tuple[int, str], int] = {}
-    for m in matches:
-        bit = 1 << m.view
-        for g, _, _ in m.tp_pairs:
-            key = (m.frame, g)
-            tp_views[key] = tp_views.get(key, 0) | bit
+    for v, f, g, _, _ in tp_instances:
+        key = (f, g)
+        tp_views[key] = tp_views.get(key, 0) | 1 << v
 
     all_views = (1 << n_views) - 1
-    per_tp = []
+    terms = []
     for v, f, g, p, _ in tp_instances:
         key = (f, g)
         others = all_views & ~(1 << v)
@@ -420,18 +318,10 @@ def classify_correspondence(
         stray = pred_views.get((f, p), 0) & others & ~annotated
         n_annotated, n_matched = annotated.bit_count(), matched.bit_count()
         fpc = stray.bit_count()
-        per_tp.append(
+        terms.append(
             (n_matched + others.bit_count() - n_annotated - fpc, fpc, n_annotated - n_matched)
         )
-    return CorresTally(per_tp=tuple(per_tp))
-
-
-def correspondence_accuracy(tally: CorresTally, zero_tp_policy: float = 0.0) -> float:
-    """Mean per-true-positive correspondence Jaccard."""
-    scores = tally.scores()
-    if not scores:
-        return zero_tp_policy
-    return fsum(scores) / len(scores)
+    return terms
 
 
 def mv_hota(det_acc: float, ass_acc: float, corres_acc: float) -> float:
@@ -521,15 +411,16 @@ def occlusion_index(gt: Dataset) -> OcclusionReport:
     if not gt.points:
         return OcclusionReport(None, None, None, None, None, None)
 
-    views_at: dict[tuple[str, int], set[int]] = {}
-    for p in gt.points:
-        views_at.setdefault((p.id, p.frame), set()).add(p.view)
-    full = sum(1 for views in views_at.values() if len(views) == gt.n_views)
-    simple = 1.0 - full / len(views_at)
+    masks = view_masks(gt)
+    full = sum(1 for mask in masks.values() if mask.bit_count() == gt.n_views)
+    simple = 1.0 - full / len(masks)
 
-    ids = sorted({p.id for p in gt.points})
+    # id -> the view mask of each frame where it has a point, in frame order
+    tracks: dict[str, list[int]] = {}
+    for frame, gid in sorted(masks):
+        tracks.setdefault(gid, []).append(masks[frame, gid])
+    ids = sorted(tracks)
     n, m = gt.n_frames, gt.n_views
-    presence = {(p.id, p.frame, p.view) for p in gt.points}
 
     weighted = []
     temporal = []
@@ -539,20 +430,16 @@ def occlusion_index(gt: Dataset) -> OcclusionReport:
         for gid in ids:
             acc = 0.0
             seen = 0
-            for f in range(n):
-                c_f = len(views_at.get((gid, f), ())) / m
-                if (gid, f, v) in presence:
-                    acc += c_f
+            for mask in tracks[gid]:
+                if mask >> v & 1:
+                    acc += mask.bit_count() / m
                     seen += 1
             w_values.append(1.0 - acc / n)
             t_values.append(1.0 - seen / n)
         weighted.append(fsum(w_values) / len(w_values))
         temporal.append(fsum(t_values) / len(t_values))
 
-    mv_values = [
-        1.0 - fsum(len(views_at.get((gid, f), ())) / m for f in range(n)) / n
-        for gid in ids
-    ]
+    mv_values = [1.0 - fsum(mask.bit_count() / m for mask in tracks[gid]) / n for gid in ids]
     return OcclusionReport(
         simple=simple,
         weighted_per_view=tuple(weighted),
@@ -710,6 +597,7 @@ def evaluate_detailed(
     # need no rescans of the pooled ones
     view_matches: list[list[FrameMatch]] = []
     view_near: list[list[list[tuple[float, int, int]]]] = []
+    view_counts: list[tuple[int, ...]] = []  # (tp, fp, fn) of each view
     for v in range(n_views):
         row = []
         nears = [scene.within(v, f, alpha) for f in range(n_frames)]
@@ -723,53 +611,62 @@ def evaluate_detailed(
             row.append(m)
         view_matches.append(row)
         view_near.append(nears)
-    view_tp: list[list[TpInstance]] = [
-        [(m.view, m.frame, g, p, d) for m in row for g, p, d in m.tp_pairs]
-        for row in view_matches
-    ]
+        view_counts.append(
+            _column_sums([(len(m.tp_pairs), len(m.fp_ids), len(m.fn_ids)) for m in row])
+        )
     view_gt_total, view_pred_total = scene.view_totals
     matches: list[FrameMatch] = [m for row in view_matches for m in row]
-    tp_instances: list[TpInstance] = [t for row in view_tp for t in row]
+    # in view order, so each view's true positives are one slice
+    tp_instances: list[TpInstance] = [
+        (m.view, m.frame, g, p, d) for m in matches for g, p, d in m.tp_pairs
+    ]
 
-    det = tally_detections(matches)
-    det_scores = detection_scores(det)
-    # the tally is dropped once scored, before the correspondence sets exist
-    ass, view_ass, (tpa, fna, fpa) = _association(
-        view_tp, build_association_tally(gt, pred_ids, matches), config.zero_tp_policy
-    )
-    corres_tally = classify_correspondence(
+    tp, fp, fn = _column_sums(view_counts)
+    det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
+    # each term list is scored and summed as soon as it is built, then
+    # dropped: kept alive through the per-view loop, the two lists slow
+    # down every garbage-collector pass there
+    policy = config.zero_tp_policy
+    ass_terms = build_association_tally(gt, pred_ids, tp_instances)
+    ass = _jaccard(ass_terms, policy)
+    view_ass = []
+    start = 0
+    for v_tp, _, _ in view_counts:
+        view_ass.append(_jaccard(ass_terms[start : start + v_tp], policy))
+        start += v_tp
+    tpa, fna, fpa = _column_sums(ass_terms)
+    del ass_terms
+    corres_terms = classify_correspondence(
         tp_instances,
-        gt,
-        matches,
-        pred_ids,
-        n_views=n_views,
-        gt_views=scene.gt_views,
-        pred_views=scene.pred_views if pred_ids is pred else None,
+        scene.gt_views,
+        scene.pred_views if pred_ids is pred else view_masks(pred_ids),
+        n_views,
     )
-    corres = correspondence_accuracy(corres_tally, config.zero_tp_policy)
+    corres = _jaccard(corres_terms, policy)
+    tpc, fpc, fnc = _column_sums(corres_terms)
+    del corres_terms
     loc_acc = _mean([d for _, _, _, _, d in tp_instances], 0.0)
     switches = count_id_switches(matches)
 
     per_view: list[PerViewScores] = []
-    for v in range(n_views):
-        v_det = tally_detections(view_matches[v])
+    for v, (v_tp, v_fp, v_fn) in enumerate(view_counts):
         v_gt_total = view_gt_total[v]
         if v_gt_total + view_pred_total[v] == 0:
             continue
+        v_det_acc, _, _, v_f1 = detection_scores(v_tp, v_fp, v_fn)
         v_ass = view_ass[v]
-        v_scores = detection_scores(v_det)
         per_view.append(
             PerViewScores(
                 view=v,
-                tp=v_det.tp,
-                fp=v_det.fp,
-                fn=v_det.fn,
+                tp=v_tp,
+                fp=v_fp,
+                fn=v_fn,
                 idsw=switches.get(v, 0),
-                det_acc=v_scores.det_acc,
+                det_acc=v_det_acc,
                 ass_acc=v_ass,
-                f1=v_scores.f1,
-                hota=hota(v_scores.det_acc, v_ass),
-                mota=mota(v_gt_total, v_det.fn, v_det.fp, switches.get(v, 0)),
+                f1=v_f1,
+                hota=hota(v_det_acc, v_ass),
+                mota=mota(v_gt_total, v_fn, v_fp, switches.get(v, 0)),
                 idf1=idf1(gt, pred_ids, v, alpha, view_near[v]),
             )
         )
@@ -778,31 +675,31 @@ def evaluate_detailed(
         alpha=alpha,
         n_views=n_views,
         n_frames=n_frames,
-        det_acc=det_scores.det_acc,
-        precision=det_scores.precision,
-        recall=det_scores.recall,
+        det_acc=det_acc,
+        precision=precision,
+        recall=recall,
         f1=_macro(per_view, "f1"),
         mota=_macro(per_view, "mota"),
         idf1=_macro(per_view, "idf1"),
         hota=_macro(per_view, "hota"),
         ass_acc=ass,
         corres_acc=corres,
-        mv_hota=mv_hota(det_scores.det_acc, ass, corres),
+        mv_hota=mv_hota(det_acc, ass, corres),
         loc_acc=loc_acc,
         occlusion=occlusion,
         tallies={
-            "tp": det.tp,
-            "fp": det.fp,
-            "fn": det.fn,
+            "tp": tp,
+            "fp": fp,
+            "fn": fn,
             "idsw": sum(switches.values()),
             "gt_observations": len(gt.points),
             "pred_observations": len(pred_ids.points),
             "tpa": tpa,
             "fna": fna,
             "fpa": fpa,
-            "tpc": corres_tally.tpc,
-            "fpc": corres_tally.fpc,
-            "fnc": corres_tally.fnc,
+            "tpc": tpc,
+            "fpc": fpc,
+            "fnc": fnc,
         },
         per_view=tuple(per_view),
     )

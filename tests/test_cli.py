@@ -187,6 +187,41 @@ def test_alpha_sweep_with_a_non_finite_bound_is_an_error(scene):
     assert result.stderr == "error: --alpha-sweep needs finite LO, HI and STEP\n"
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan"])
+def test_non_finite_alpha_is_an_error(scene, alpha):
+    gt_path, pred_path = scene
+    result = run_cli(
+        "evaluate", "--gt", str(gt_path), "--pred", str(pred_path),
+        "--alpha", alpha, "--format", "json",
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: alpha must be positive and finite\n"
+
+
+def assert_output_error(result, target):
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert str(target) in result.stderr
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("flag", ["--output", "--dump-matches"])
+def test_evaluate_into_a_missing_directory_is_an_output_error(scene, tmp_path, flag):
+    gt_path, pred_path = scene
+    target = tmp_path / "missing" / "out.json"
+    result = run_cli("evaluate", "--gt", str(gt_path), "--pred", str(pred_path), flag, str(target))
+    assert_output_error(result, target)
+
+
+@pytest.mark.parametrize("flag", ["--out-gt", "--out-pred"])
+def test_synth_into_a_missing_directory_is_an_output_error(tmp_path, flag):
+    target = tmp_path / "missing" / "out.json"
+    result = run_cli("synth", "--frames", "3", flag, str(target), cwd=tmp_path)
+    assert_output_error(result, target)
+
+
 def test_geometry_mismatch_requires_force(tmp_path):
     gt, _ = generate(SynthConfig(n_views=2, n_frames=4, n_points=3, seed=4))
     _, pred = generate(SynthConfig(n_views=1, n_frames=4, n_points=3, seed=4))

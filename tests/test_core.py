@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
 
@@ -179,6 +180,25 @@ def test_eval_config_rejects_non_positive_alpha():
         EvalConfig(alpha=0.0)
     with pytest.raises(ValueError):
         EvalConfig(alpha=-3.0)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_eval_config_rejects_a_non_finite_alpha(alpha):
+    from mvteval.core import EvalConfig
+
+    with pytest.raises(ValueError, match="finite"):
+        EvalConfig(alpha=alpha)
+    assert EvalConfig(alpha=1e9).alpha == 1e9
+
+
+@pytest.mark.parametrize("policy", [-0.1, 1.5, math.nan, math.inf])
+def test_eval_config_rejects_a_zero_tp_policy_outside_the_unit_interval(policy):
+    from mvteval.core import EvalConfig
+
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        EvalConfig(zero_tp_policy=policy)
+    assert EvalConfig(zero_tp_policy=0.0).zero_tp_policy == 0.0
+    assert EvalConfig(zero_tp_policy=1.0).zero_tp_policy == 1.0
 
 
 def test_validate_identical_pair_is_clean():

@@ -14,12 +14,9 @@ from mvteval import metrics
 from mvteval.core import Dataset, EvalConfig, Point, Role, remap_gt_ids
 from mvteval.matching import match_frame
 from mvteval.metrics import (
-    AssTally,
-    DetTally,
     EvaluationError,
     build_association_tally,
     classify_correspondence,
-    correspondence_accuracy,
     count_id_switches,
     detection_scores,
     evaluate,
@@ -29,7 +26,7 @@ from mvteval.metrics import (
     mota,
     mv_hota,
     occlusion_index,
-    tally_detections,
+    view_masks,
 )
 from mvteval.synth import SynthConfig, generate, three_view_fixture
 from oracles import (
@@ -80,13 +77,13 @@ def test_tally_perfect_predictions():
     gt = [gt_point(10 * i, 10, f"g{i}") for i in range(10)]
     pred = [gt_point(10 * i, 10, f"p{i}") for i in range(10)]
     m = match_frame(gt, pred, CONFIG, (200, 200))
-    assert tally_detections([m]) == DetTally(tp=10, fp=0, fn=0)
+    assert (m.tp, len(m.fp_ids), len(m.fn_ids)) == (10, 0, 0)
 
 
 def test_tally_empty_predictions():
     gt = [gt_point(20 * i, 10, f"g{i}") for i in range(4)]
     m = match_frame(gt, [], CONFIG, (200, 200))
-    assert tally_detections([m]) == DetTally(tp=0, fp=0, fn=4)
+    assert (m.tp, len(m.fp_ids), len(m.fn_ids)) == (0, 0, 4)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -100,25 +97,24 @@ def test_tally_matches_solver_free_recount(seed):
 
 
 def test_detection_scores_basic():
-    s = detection_scores(DetTally(tp=1, fp=0, fn=1))
-    assert s.det_acc == 0.5
-    assert s.f1 == pytest.approx(2 / 3)
+    det_acc, _, _, f1 = detection_scores(1, 0, 1)
+    assert det_acc == 0.5
+    assert f1 == pytest.approx(2 / 3)
 
 
 def test_detection_scores_perfect():
-    s = detection_scores(DetTally(tp=7, fp=0, fn=0))
-    assert (s.det_acc, s.precision, s.recall, s.f1) == (1.0, 1.0, 1.0, 1.0)
+    assert detection_scores(7, 0, 0) == (1.0, 1.0, 1.0, 1.0)
 
 
 @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
 @settings(max_examples=200, deadline=None)
 def test_detection_scores_match_formulas(tp, fp, fn):
-    s = detection_scores(DetTally(tp=tp, fp=fp, fn=fn))
+    det_acc, precision, recall, f1 = detection_scores(tp, fp, fn)
     total = tp + fp + fn
-    assert s.det_acc == (tp / total if total else 0.0)
-    assert s.f1 == (2 * tp / (2 * tp + fp + fn) if total else 0.0)
-    assert s.precision == (tp / (tp + fp) if tp + fp else 0.0)
-    assert s.recall == (tp / (tp + fn) if tp + fn else 0.0)
+    assert det_acc == (tp / total if total else 0.0)
+    assert f1 == (2 * tp / (2 * tp + fp + fn) if total else 0.0)
+    assert precision == (tp / (tp + fp) if tp + fp else 0.0)
+    assert recall == (tp / (tp + fn) if tp + fn else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +138,11 @@ def _single_track_scene(pred_ids):
     return gt, pred
 
 
+SPLIT_TRACK = ["p1", "p1", "p2", "p2", "p2"]
+# (TPA, FNA, FPA) of each true positive of the split track, in frame order
+SPLIT_TRACK_TERMS = [(2, 3, 0)] * 2 + [(3, 2, 0)] * 3
+
+
 def test_association_perfect_track():
     gt, pred = _single_track_scene(["p"] * 5)
     assert evaluate(gt, pred, CONFIG).ass_acc == 1.0
@@ -149,7 +150,7 @@ def test_association_perfect_track():
 
 def test_association_split_track_hand_value():
     # two frames on one id, three on another: (2*(2/5) + 3*(3/5)) / 5
-    gt, pred = _single_track_scene(["p1", "p1", "p2", "p2", "p2"])
+    gt, pred = _single_track_scene(SPLIT_TRACK)
     assert evaluate(gt, pred, CONFIG).ass_acc == pytest.approx(0.52)
 
 
@@ -163,24 +164,23 @@ def test_association_zero_tp_policy():
 
 
 def test_ass_tally_counts():
-    tally = AssTally(
-        pair_frames={(0, "0", "p1"): 2, (0, "0", "p2"): 3},
-        gt_frames={(0, "0"): 5},
-        pred_frames={(0, "p1"): 2, (0, "p2"): 3},
-    )
-    assert tally.terms(0, "0", "p1") == (2, 3, 0)
-    tpa, fna, fpa = tally.terms(0, "0", "p2")
+    gt, pred = _single_track_scene(SPLIT_TRACK)
+    tp_instances = [(0, f, "g", p, 0.0) for f, p in enumerate(SPLIT_TRACK)]
+    terms = build_association_tally(gt, pred, tp_instances)
+    assert terms == SPLIT_TRACK_TERMS
+    tpa, fna, fpa = terms[-1]
     assert tpa / (tpa + fna + fpa) == pytest.approx(3 / 5)
 
 
 def test_ass_tally_built_from_pipeline():
-    gt, pred = _single_track_scene(["p1", "p1", "p2", "p2", "p2"])
+    gt, pred = _single_track_scene(SPLIT_TRACK)
     result = evaluate_detailed(gt, pred, CONFIG)
-    (gt_id,) = {p.id for p in gt.points}  # matches carry the ground truth's own ids
-    tally = build_association_tally(gt, result.pred_with_ids, result.matches)
-    assert tally.pair_frames[(0, gt_id, "p1")] == 2
-    assert tally.pair_frames[(0, gt_id, "p2")] == 3
-    assert tally.gt_frames[(0, gt_id)] == 5
+    # the matches carry the ground truth's own ids
+    tp_instances = [(m.view, m.frame, g, p, d) for m in result.matches for g, p, d in m.tp_pairs]
+    assert {g for _, _, g, _, _ in tp_instances} == {"g"}
+    assert build_association_tally(gt, result.pred_with_ids, tp_instances) == SPLIT_TRACK_TERMS
+    tallies = result.report.tallies
+    assert (tallies["tpa"], tallies["fna"], tallies["fpa"]) == (13, 12, 0)
 
 
 def test_fpa_counts_spurious_frames_of_same_pred_id():
@@ -220,7 +220,7 @@ def _classify(gt, pred):
     tp_instances = [
         (m.view, m.frame, g, p, d) for m in matches for g, p, d in m.tp_pairs
     ]
-    return classify_correspondence(tp_instances, gt, matches, pred, n_views=2)
+    return classify_correspondence(tp_instances, view_masks(gt), view_masks(pred), 2)
 
 
 def test_correspondence_tp_in_both_views_is_tpc():
@@ -228,8 +228,7 @@ def test_correspondence_tp_in_both_views_is_tpc():
         [gt_point(10, 10, "g", view=0), gt_point(15, 10, "g", view=1)],
         [gt_point(10, 10, "q", view=0), gt_point(15, 10, "q", view=1)],
     )
-    tally = _classify(gt, pred)
-    assert tally.per_tp == ((1, 0, 0), (1, 0, 0))
+    assert _classify(gt, pred) == [(1, 0, 0), (1, 0, 0)]
 
 
 def test_correspondence_pred_in_both_views_without_gt_is_fpc():
@@ -237,8 +236,7 @@ def test_correspondence_pred_in_both_views_without_gt_is_fpc():
         [gt_point(10, 10, "g", view=0)],
         [gt_point(10, 10, "q", view=0), gt_point(15, 10, "q", view=1)],
     )
-    tally = _classify(gt, pred)
-    assert tally.per_tp == ((0, 1, 0),)
+    assert _classify(gt, pred) == [(0, 1, 0)]
 
 
 def test_correspondence_missing_detection_is_fnc():
@@ -246,8 +244,7 @@ def test_correspondence_missing_detection_is_fnc():
         [gt_point(10, 10, "g", view=0), gt_point(15, 10, "g", view=1)],
         [gt_point(10, 10, "q", view=0)],
     )
-    tally = _classify(gt, pred)
-    assert tally.per_tp == ((0, 0, 1),)
+    assert _classify(gt, pred) == [(0, 0, 1)]
 
 
 def test_correspondence_absent_everywhere_is_vacuously_correct():
@@ -255,8 +252,7 @@ def test_correspondence_absent_everywhere_is_vacuously_correct():
         [gt_point(10, 10, "g", view=0)],
         [gt_point(10, 10, "q", view=0)],
     )
-    tally = _classify(gt, pred)
-    assert tally.per_tp == ((1, 0, 0),)
+    assert _classify(gt, pred) == [(1, 0, 0)]
 
 
 def test_correspondence_accuracy_half():
@@ -273,8 +269,8 @@ def test_correspondence_accuracy_half():
             gt_point(60, 60, "qb", view=0),
         ],
     )
-    tally = _classify(gt, pred)
-    assert correspondence_accuracy(tally) == pytest.approx(0.5)
+    assert _classify(gt, pred) == [(1, 0, 0), (0, 0, 1)]
+    assert evaluate(gt, pred, CONFIG).corres_acc == pytest.approx(0.5)
 
 
 def test_correspondence_accuracy_hand_values():
@@ -291,9 +287,8 @@ def test_correspondence_accuracy_hand_values():
             gt_point(60, 60, "qb", view=0),
         ],
     )
-    tally = _classify(gt, pred)
     # a: TPC in both views; b: TP only on the left, so one FNC
-    assert correspondence_accuracy(tally) == pytest.approx((1 + 1 + 0) / 3)
+    assert evaluate(gt, pred, CONFIG).corres_acc == pytest.approx((1 + 1 + 0) / 3)
 
 
 def test_single_view_correspondence_is_one():
@@ -339,15 +334,15 @@ def test_classify_correspondence_equals_the_per_view_rule(scene):
         for f in range(gt.n_frames)
     ]
     tp_instances = [(m.view, m.frame, g, p, d) for m in matches for g, p, d in m.tp_pairs]
-    tally = classify_correspondence(tp_instances, gt, matches, pred, gt.n_views)
+    terms = classify_correspondence(tp_instances, view_masks(gt), view_masks(pred), gt.n_views)
 
     gt_present = {(p.view, p.frame, p.id) for p in gt.points}
     pred_present = {(p.view, p.frame, p.id) for p in pred.points}
     tp_gt = {(v, f, g) for v, f, g, _, _ in tp_instances}
-    assert tally.per_tp == tuple(
+    assert terms == [
         corres_terms(gt.n_views, gt_present, pred_present, tp_gt, v, f, g, p)
         for v, f, g, p, _ in tp_instances
-    )
+    ]
 
 
 def test_three_view_fixture_covers_all_cases():
@@ -703,6 +698,26 @@ def test_renaming_ids_leaves_the_report_unchanged(scene, data, per_class, strip_
     assert evaluate(renamed_gt, renamed_pred, config).to_dict() == evaluate(
         gt, pred, config
     ).to_dict()
+
+
+@given(crowded_scenes(), st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_pooled_scores_agree_with_the_per_view_and_per_tp_ones(scene, per_class, strip_ids):
+    gt, pred = scene
+    if strip_ids:
+        pred = pred.with_points(replace(p, id=None) for p in pred.points)
+    report = evaluate(gt, pred, EvalConfig(alpha=6.0, per_class=per_class))
+    per_view_reports = list(report.per_class.values()) if per_class else [report]
+    for r in [report, *per_view_reports]:
+        t = r.tallies
+        assert t["tpc"] + t["fpc"] + t["fnc"] == t["tp"] * (r.n_views - 1)
+    for r in per_view_reports:
+        t = r.tallies
+        for key in ("tp", "fp", "fn"):
+            assert t[key] == sum(getattr(v, key) for v in r.per_view), key
+        if t["tp"]:
+            weighted = math.fsum(v.tp * v.ass_acc for v in r.per_view) / t["tp"]
+            assert weighted == pytest.approx(r.ass_acc, abs=1e-12)
 
 
 @pytest.mark.parametrize("per_class", [False, True])
