@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation failure (geometry mismatch without
 --force, a pair that cannot be scored even with --force, invalid generator
 settings, a radius that is not positive and finite), 2 unreadable or
-malformed input, or an output that cannot be written.
+malformed input, or an output that cannot be written (then none is).
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
 """
@@ -106,12 +106,26 @@ def _parse_sweep(spec: str) -> list[float]:
     return values
 
 
-def _write_file(text: str, path: str) -> bool:
-    """Write ``text`` to ``path``; on failure print an ``error:`` line, return False."""
+def _write_files(outputs: dict[str, str]) -> bool:
+    """Write each text to its path, all or none.
+
+    Every text goes to a temporary sibling of its path first, and the
+    temporaries replace their paths only once all of them are written, so
+    a write that fails leaves no output behind. On failure print an
+    ``error:`` line naming the path and return False.
+    """
+    staged: list[tuple[Path, str]] = []
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        for path, text in outputs.items():
+            temporary = Path(f"{path}.mvteval-tmp")
+            staged.append((temporary, path))
+            temporary.write_text(text, encoding="utf-8")
+        for temporary, path in staged:
+            temporary.replace(path)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+        print(f"error: {OSError(exc.errno, exc.strerror, path)}", file=sys.stderr)
         return False
     return True
 
@@ -162,6 +176,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
     report = result.report
 
+    # every output is rendered before any is written; with one path given
+    # twice, the report wins
+    outputs: dict[str, str] = {}
     if args.dump_matches:
         dump = [
             {
@@ -173,8 +190,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             }
             for m in result.matches
         ]
-        if not _write_file(json.dumps(dump, indent=2) + "\n", args.dump_matches):
-            return 2
+        outputs[args.dump_matches] = json.dumps(dump, indent=2) + "\n"
 
     sweep_rows: list[dict[str, Any]] = []
     for alpha in sweep_alphas:
@@ -211,8 +227,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 )
             text += "\n".join(lines) + "\n"
     if args.output:
-        return 0 if _write_file(text, args.output) else 2
-    sys.stdout.write(text)
+        outputs[args.output] = text
+    if not _write_files(outputs):
+        return 2
+    if not args.output:
+        sys.stdout.write(text)
     return 0
 
 
@@ -239,9 +258,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for dataset, path in ((gt, args.out_gt), (pred, args.out_pred)):
-        if not _write_file(serialize_dataset(dataset) + "\n", path):
-            return 2
+    outputs = {
+        args.out_gt: serialize_dataset(gt) + "\n",
+        args.out_pred: serialize_dataset(pred) + "\n",
+    }
+    if not _write_files(outputs):
+        return 2
     occlusion = occlusion_index(gt)
     print(f"wrote {args.out_gt} ({len(gt.points)} points)")
     print(f"wrote {args.out_pred} ({len(pred.points)} points)")

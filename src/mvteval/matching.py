@@ -313,38 +313,18 @@ def match_frame(
     )
 
 
-class TrackRegistry:
-    """Last known position of every identity seen so far in one view.
-
-    Memory is unbounded on purpose: a point that leaves the scene and
-    reappears near its old location must get its old identity back, and
-    no aging horizon is part of the matching contract.
-    """
-
-    def __init__(self, view: int):
-        self.view = view
-        self.positions: dict[str, tuple[float, float]] = {}
-        self._counter = 0
-
-    def observe(self, track_id: str, x: float, y: float) -> None:
-        self.positions[track_id] = (x, y)
-
-    def fresh_id(self, reserved: set[str]) -> str:
-        while True:
-            candidate = f"v{self.view}t{self._counter}"
-            self._counter += 1
-            if candidate not in reserved and candidate not in self.positions:
-                return candidate
-
-
 def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
     """Give every prediction an identity by temporal matching, per view.
 
     Predictions that already carry an id pass through unchanged and still
-    update the registry. Id-less points in each frame are matched against
-    the last known positions of all identities seen so far (not just the
-    previous frame), so tracks survive gaps; leftovers get fresh ids drawn
-    from a per-view counter that never collides with pass-through ids.
+    move their identity's last known position. Id-less points in each
+    frame are matched against the last known positions of all identities
+    seen so far (not just the previous frame), so tracks survive gaps;
+    leftovers get fresh ids ``v{view}t{n}`` from a per-view counter that
+    skips pass-through ids and ids already seen. Memory is unbounded on
+    purpose: a point that leaves the scene and reappears near its old
+    location gets its old identity back, and no aging horizon is part of
+    the matching contract.
     """
     if pred.role is not Role.PREDICTION:
         raise ValueError("assign_temporal_ids expects a prediction dataset")
@@ -352,42 +332,37 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
         return pred
 
     dims = (pred.image_width, pred.image_height)
-    new_ids: dict[int, str] = {}  # index in pred.points -> assigned id
-    indices: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(pred.points):
-        indices.setdefault((p.view, p.frame), []).append(i)
-
+    # (view, frame) -> an iterator over the ids given to its id-less points,
+    # in input order
+    assigned = {}
     for view in range(pred.n_views):
-        registry = TrackRegistry(view)
         reserved = {p.id for p in pred.points if p.view == view and p.id is not None}
+        # each identity's latest point, in the order identities were first seen
+        last: dict[str, Point] = {}
+        minted = 0
         for frame in range(pred.n_frames):
-            idx = indices.get((view, frame), [])
-            carrying = [i for i in idx if pred.points[i].id is not None]
-            nameless = [i for i in idx if pred.points[i].id is None]
-
-            claimed = {pred.points[i].id for i in carrying}
-            candidates = [t for t in registry.positions if t not in claimed]
-            anchor_points = [
-                Point(view=view, frame=frame, x=registry.positions[t][0], y=registry.positions[t][1])
-                for t in candidates
-            ]
-            targets = [pred.points[i] for i in nameless]
-            near = near_pairs(targets, anchor_points, config.alpha)
+            points = pred.at(view, frame)
+            nameless = [p for p in points if p.id is None]
+            claimed = {p.id for p in points}
+            candidates = [t for t in last if t not in claimed]
+            near = near_pairs(nameless, [last[t] for t in candidates], config.alpha)
             within = {(r, c) for _, r, c in near}
 
-            taken: set[int] = set()
-            for r, c in solve_assignment(len(targets), len(candidates), near, dims):
+            ids: list[str | None] = [None] * len(nameless)
+            for r, c in solve_assignment(len(nameless), len(candidates), near, dims):
                 if (r, c) in within:
-                    new_ids[nameless[r]] = candidates[c]
-                    taken.add(r)
-            for r, i in enumerate(nameless):
-                if r not in taken:
-                    new_ids[i] = registry.fresh_id(reserved)
+                    ids[r] = candidates[c]
+            for r in range(len(ids)):
+                while ids[r] is None:
+                    fresh = f"v{view}t{minted}"
+                    minted += 1
+                    if fresh not in reserved and fresh not in last:
+                        ids[r] = fresh
 
-            for i in idx:
-                p = pred.points[i]
-                track_id = p.id if p.id is not None else new_ids[i]
-                registry.observe(track_id, p.x, p.y)
+            unnamed = iter(ids)
+            for p in points:
+                last[p.id if p.id is not None else next(unnamed)] = p
+            assigned[view, frame] = iter(ids)
 
     return pred.with_points(
         p if p.id is not None else Point(
@@ -395,8 +370,8 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
             frame=p.frame,
             x=p.x,
             y=p.y,
-            id=new_ids[i],
+            id=next(assigned[p.view, p.frame]),
             class_label=p.class_label,
         )
-        for i, p in enumerate(pred.points)
+        for p in pred.points
     )

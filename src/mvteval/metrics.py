@@ -117,26 +117,16 @@ class MetricReport:
     per_view: tuple[PerViewScores, ...]
     per_class: dict[str, "MetricReport"] | None = None
 
+    # the table's columns, then every other score, in output order
     _COLUMNS = ("mota", "idf1", "f1", "det_acc", "ass_acc", "hota", "corres_acc", "mv_hota")
+    _SCORES = _COLUMNS + ("precision", "recall", "loc_acc")
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
             "alpha": self.alpha,
             "n_views": self.n_views,
             "n_frames": self.n_frames,
-            "scores": {
-                "mota": self.mota,
-                "idf1": self.idf1,
-                "f1": self.f1,
-                "det_acc": self.det_acc,
-                "ass_acc": self.ass_acc,
-                "hota": self.hota,
-                "corres_acc": self.corres_acc,
-                "mv_hota": self.mv_hota,
-                "precision": self.precision,
-                "recall": self.recall,
-                "loc_acc": self.loc_acc,
-            },
+            "scores": {name: getattr(self, name) for name in self._SCORES},
             "occlusion": self.occlusion.to_dict(),
             "tallies": dict(self.tallies),
             "per_view": [v.to_dict() for v in self.per_view],
@@ -171,13 +161,8 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        cols = self._COLUMNS + ("precision", "recall", "loc_acc", "occlusion_index")
-        values = [getattr(self, c) for c in self._COLUMNS] + [
-            self.precision,
-            self.recall,
-            self.loc_acc,
-            self.occlusion.simple,
-        ]
+        cols = self._SCORES + ("occlusion_index",)
+        values = [getattr(self, c) for c in self._SCORES] + [self.occlusion.simple]
         return (
             ",".join(cols)
             + "\n"
@@ -341,64 +326,40 @@ def mota(gt_total: int, fn: int, fp: int, idsw: int) -> float | None:
     return 1.0 - (fn + fp + idsw) / gt_total
 
 
-def count_id_switches(matches: Iterable[FrameMatch]) -> dict[int, int]:
-    """Identity switches per view.
+def count_id_switches(row: Iterable[FrameMatch]) -> int:
+    """Identity switches in one view's matches, given in frame order.
 
     A switch is a ground-truth id whose matched prediction id differs
-    from its most recent previous match in the same view.
+    from its most recent previous match.
     """
-    last: dict[tuple[int, str], str] = {}
-    switches: dict[int, int] = {}
-    for m in sorted(matches, key=lambda m: (m.view, m.frame)):
-        switches.setdefault(m.view, 0)
+    last: dict[str, str] = {}
+    switches = 0
+    for m in row:
         for g, p, _ in m.tp_pairs:
-            key = (m.view, g)
-            if key in last and last[key] != p:
-                switches[m.view] += 1
-            last[key] = p
+            if last.get(g, p) != p:
+                switches += 1
+            last[g] = p
     return switches
 
 
-def idf1(
-    gt: Dataset,
-    pred: Dataset,
-    view: int,
-    alpha: float,
-    pairs: Sequence[Sequence[tuple[float, int, int]]] | None = None,
-) -> float | None:
+def idf1(n_gt: int, n_pred: int, hits: Counter[tuple[str, str]]) -> float | None:
     """Trajectory-level identity F1 for one view.
 
-    Ground-truth and prediction identities are paired one-to-one to
-    maximise the number of frames where both lie within the detection
-    radius; that count is IDTP and the remaining observations are identity
-    errors. A caller that already holds the view's within-``alpha`` pairs
-    passes them as ``pairs``, indexed by frame, each list as ``near_pairs``
-    gives it for ``gt.at(view, frame)`` and ``pred.at(view, frame)``.
+    ``n_gt`` and ``n_pred`` count the view's ground-truth and prediction
+    points; ``hits`` counts, per (gt id, pred id), the frames where the two
+    lie within the detection radius. Identities are paired one-to-one to
+    maximise the hits kept; that sum is IDTP and the remaining observations
+    are identity errors. An id without a hit adds nothing to IDTP, so only
+    ids with one enter the assignment.
     """
-    n_gt = n_pred = 0
-    gt_ids: set[str] = set()
-    pred_ids: set[str] = set()
-    hits: Counter[tuple[str, str]] = Counter()
-    for f in range(max(gt.n_frames, pred.n_frames)):
-        gs, ps = gt.at(view, f), pred.at(view, f)
-        if not gs and not ps:
-            continue
-        n_gt += len(gs)
-        n_pred += len(ps)
-        gt_ids.update(g.id for g in gs)
-        pred_ids.update(p.id for p in ps)
-        near = pairs[f] if pairs is not None else near_pairs(gs, ps, alpha)
-        hits.update((gs[r].id, ps[c].id) for _, r, c in near)
     if not n_gt and not n_pred:
         return None
-
-    # overlap[g][p]: frames where GT g and prediction p lie within alpha
-    gt_order = sorted(gt_ids)
-    pred_order = sorted(pred_ids)
-    overlap = [[hits[g, p] for p in pred_order] for g in gt_order]
     idtp = 0
-    if gt_order and pred_order:
-        ceiling = float(max(max(row) for row in overlap))
+    if hits:
+        gt_order = sorted({g for g, _ in hits})
+        pred_order = sorted({p for _, p in hits})
+        overlap = [[hits[g, p] for p in pred_order] for g in gt_order]
+        ceiling = float(max(hits.values()))
         costs = tuple(tuple(ceiling - o for o in row) for row in overlap)
         idtp = sum(overlap[r][c] for r, c in minimize_cost(costs))
     return 2 * idtp / (n_gt + n_pred)
@@ -466,14 +427,13 @@ class Scene:
 
     One scene serves every radius up to ``radius``: pass it to each
     ``evaluate_detailed`` call on the pair, as ``--alpha-sweep`` does. It
-    holds the occlusion report, the view masks of every (frame, id), the
-    per-view point totals and, for every (view, frame), the
-    ground-truth/prediction pairs closer than ``radius``, nearest first, so
-    that a smaller radius reads its pairs as a prefix. Each part is built on
-    first use. The scene also keeps the frame matches already made:
-    a frame whose within-radius pairs and prediction ids are those of a radius
-    already scored gets that radius's match back. Results are the same with
-    a shared scene and without one.
+    holds the occlusion report, the view masks of every (frame, id) and,
+    for every (view, frame), the ground-truth/prediction pairs closer than
+    ``radius``, nearest first, so that a smaller radius reads its pairs as
+    a prefix. Each part is built on first use. The scene also keeps the
+    frame matches already made: a frame whose within-radius pairs and
+    prediction ids are those of a radius already scored gets that radius's
+    match back. Results are the same with a shared scene and without one.
     """
 
     def __init__(self, gt: Dataset, pred: Dataset, radius: float):
@@ -503,14 +463,6 @@ class Scene:
     @cached_property
     def pred_views(self) -> dict[tuple[int, str | None], int]:
         return view_masks(self.pred)
-
-    @cached_property
-    def view_totals(self) -> tuple[Counter[int], Counter[int]]:
-        """Ground-truth and prediction points per view; linking keeps both."""
-        return (
-            Counter(p.view for p in self.gt.points),
-            Counter(p.view for p in self.pred.points),
-        )
 
     @cached_property
     def pairs(self) -> dict[tuple[int, int], list[tuple[float, int, int]]]:
@@ -596,25 +548,27 @@ def evaluate_detailed(
     # per-view lists, in (view, frame) order, so the per-view scores below
     # need no rescans of the pooled ones
     view_matches: list[list[FrameMatch]] = []
-    view_near: list[list[list[tuple[float, int, int]]]] = []
+    view_hits: list[Counter[tuple[str, str]]] = []  # IDF1's (gt id, pred id) frames
     view_counts: list[tuple[int, ...]] = []  # (tp, fp, fn) of each view
     for v in range(n_views):
         row = []
-        nears = [scene.within(v, f, alpha) for f in range(n_frames)]
-        for f, near in enumerate(nears):
-            ps = pred_ids.at(v, f)
+        hits: Counter[tuple[str, str]] = Counter()
+        for f in range(n_frames):
+            near = scene.within(v, f, alpha)
+            gs, ps = gt.at(v, f), pred_ids.at(v, f)
             key = (v, f, len(near), tuple(p.id for p in ps))
             m = scene._frame_matches.get(key)
             if m is None:
-                m = match_frame(gt.at(v, f), ps, config, scene.dims, v, f, near)
+                m = match_frame(gs, ps, config, scene.dims, v, f, near)
                 scene._frame_matches[key] = m
             row.append(m)
+            # every pair within alpha is an IDF1 hit, matched or not
+            hits.update((gs[r].id, ps[c].id) for _, r, c in near)
         view_matches.append(row)
-        view_near.append(nears)
+        view_hits.append(hits)
         view_counts.append(
             _column_sums([(len(m.tp_pairs), len(m.fp_ids), len(m.fn_ids)) for m in row])
         )
-    view_gt_total, view_pred_total = scene.view_totals
     matches: list[FrameMatch] = [m for row in view_matches for m in row]
     # in view order, so each view's true positives are one slice
     tp_instances: list[TpInstance] = [
@@ -646,28 +600,28 @@ def evaluate_detailed(
     tpc, fpc, fnc = _column_sums(corres_terms)
     del corres_terms
     loc_acc = _mean([d for _, _, _, _, d in tp_instances], 0.0)
-    switches = count_id_switches(matches)
 
     per_view: list[PerViewScores] = []
     for v, (v_tp, v_fp, v_fn) in enumerate(view_counts):
-        v_gt_total = view_gt_total[v]
-        if v_gt_total + view_pred_total[v] == 0:
+        # a view's points are its tp + fn ground truth and tp + fp predictions
+        if v_tp + v_fp + v_fn == 0:
             continue
         v_det_acc, _, _, v_f1 = detection_scores(v_tp, v_fp, v_fn)
         v_ass = view_ass[v]
+        v_idsw = count_id_switches(view_matches[v])
         per_view.append(
             PerViewScores(
                 view=v,
                 tp=v_tp,
                 fp=v_fp,
                 fn=v_fn,
-                idsw=switches.get(v, 0),
+                idsw=v_idsw,
                 det_acc=v_det_acc,
                 ass_acc=v_ass,
                 f1=v_f1,
                 hota=hota(v_det_acc, v_ass),
-                mota=mota(v_gt_total, v_fn, v_fp, switches.get(v, 0)),
-                idf1=idf1(gt, pred_ids, v, alpha, view_near[v]),
+                mota=mota(v_tp + v_fn, v_fn, v_fp, v_idsw),
+                idf1=idf1(v_tp + v_fn, v_tp + v_fp, view_hits[v]),
             )
         )
 
@@ -691,7 +645,7 @@ def evaluate_detailed(
             "tp": tp,
             "fp": fp,
             "fn": fn,
-            "idsw": sum(switches.values()),
+            "idsw": sum(view.idsw for view in per_view),
             "gt_observations": len(gt.points),
             "pred_observations": len(pred_ids.points),
             "tpa": tpa,
@@ -740,17 +694,7 @@ def _evaluate_per_class(scene: Scene, config: EvalConfig) -> EvaluationResult:
         alpha=config.alpha,
         n_views=max(r.n_views for r in reports),
         n_frames=max(r.n_frames for r in reports),
-        det_acc=_macro(reports, "det_acc"),
-        precision=_macro(reports, "precision"),
-        recall=_macro(reports, "recall"),
-        f1=_macro(reports, "f1"),
-        mota=_macro(reports, "mota"),
-        idf1=_macro(reports, "idf1"),
-        hota=_macro(reports, "hota"),
-        ass_acc=_macro(reports, "ass_acc"),
-        corres_acc=_macro(reports, "corres_acc"),
-        mv_hota=_macro(reports, "mv_hota"),
-        loc_acc=_macro(reports, "loc_acc"),
+        **{name: _macro(reports, name) for name in MetricReport._SCORES},
         occlusion=occ,
         tallies=tallies,
         per_view=(),

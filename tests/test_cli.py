@@ -222,6 +222,35 @@ def test_synth_into_a_missing_directory_is_an_output_error(tmp_path, flag):
     assert_output_error(result, target)
 
 
+def test_a_failed_evaluate_output_leaves_no_dump_behind(scene, tmp_path):
+    gt_path, pred_path = scene
+    dump, target = tmp_path / "m.json", tmp_path / "missing" / "r.json"
+    result = run_cli(
+        "evaluate", "--gt", str(gt_path), "--pred", str(pred_path),
+        "--dump-matches", str(dump), "--output", str(target),
+    )
+    assert_output_error(result, target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.json", "pred.json"]
+
+
+def test_a_failed_synth_output_leaves_no_ground_truth_behind(tmp_path):
+    target = tmp_path / "missing" / "pred.json"
+    result = run_cli("synth", "--frames", "3", "--out-pred", str(target), cwd=tmp_path)
+    assert_output_error(result, target)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evaluate_writes_the_report_and_the_dump_together(scene, tmp_path):
+    gt_path, pred_path = scene
+    dump, target = tmp_path / "m.json", tmp_path / "r.json"
+    args = ("evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--format", "json")
+    result = run_cli(*args, "--dump-matches", str(dump), "--output", str(target))
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert target.read_text() == run_cli(*args).stdout
+    assert json.loads(dump.read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.json", "m.json", "pred.json", "r.json"]
+
+
 def test_geometry_mismatch_requires_force(tmp_path):
     gt, _ = generate(SynthConfig(n_views=2, n_frames=4, n_points=3, seed=4))
     _, pred = generate(SynthConfig(n_views=1, n_frames=4, n_points=3, seed=4))

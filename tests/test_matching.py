@@ -355,6 +355,25 @@ def test_match_frame_radius_beyond_the_diagonal(monkeypatch):
     assert outside.fn_ids == ("g",) and outside.fp_ids == ("p",)
 
 
+def test_idf1_solves_only_over_ids_with_a_hit(monkeypatch):
+    # view 0: a and b trade p and q in the last frame, and two spurious
+    # prediction ids lie far from every ground-truth point; view 1: its
+    # only prediction is never within alpha of its ground truth
+    calls = count_solves(monkeypatch)
+    gts, preds = [], []
+    for f, (near_a, near_b) in enumerate(["pq", "pq", "qp"]):
+        gts += [pt(10, 10, "a", frame=f), pt(40, 10, "b", frame=f), pt(10, 10, "c", 1, f)]
+        preds += [pt(11, 10, near_a, frame=f), pt(41, 10, near_b, frame=f)]
+        preds += [pt(90, 90, "far1", frame=f), pt(90, 60, "far2", frame=f), pt(80, 80, "r", 1, f)]
+    gt = Dataset(2, 3, *DIMS, tuple(gts), Role.GROUND_TRUTH)
+    pred = Dataset(2, 3, *DIMS, tuple(preds), Role.PREDICTION)
+    report = evaluate(gt, pred, CONFIG)
+    # every frame is conflict-free, so IDF1 of view 0 is the only solve
+    assert calls["shapes"] == [(2, 2)]
+    # IDTP 4 of 6 ground-truth and 12 prediction points; no hit in view 1
+    assert [v.idf1 for v in report.per_view] == [8 / 18, 0.0]
+
+
 def test_match_frame_empty_inputs():
     m = match_frame([], [], CONFIG, DIMS)
     assert m.tp_pairs == () and m.fp_ids == () and m.fn_ids == ()
