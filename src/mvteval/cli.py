@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 validation failure (geometry mismatch without
 --force, a pair that cannot be scored even with --force, invalid generator
-settings, a radius that is not positive and finite), 2 unreadable or
-malformed input, or an output that cannot be written (then none is).
+settings, a radius that is not positive and finite, an --alpha-sweep that
+is malformed or whose STEP cannot advance in floating point), 2 unreadable
+or malformed input, or an output that cannot be written (then none is,
+and an output path that is a directory is refused before any is written).
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
 """
@@ -12,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Any
@@ -102,6 +106,8 @@ def _parse_sweep(spec: str) -> list[float]:
     current = lo
     while current <= hi + 1e-9:
         values.append(round(current, 9))
+        if current + step == current:
+            raise ValueError(f"--alpha-sweep STEP {step:g} is too small to advance from {current:g}")
         current += step
     return values
 
@@ -111,11 +117,17 @@ def _write_files(outputs: dict[str, str]) -> bool:
 
     Every text goes to a temporary sibling of its path first, and the
     temporaries replace their paths only once all of them are written, so
-    a write that fails leaves no output behind. On failure print an
+    a write that fails leaves no output behind. A path that is a directory
+    is refused before anything is written, since replacing it would fail
+    after the paths before it were replaced. On failure print an
     ``error:`` line naming the path and return False.
     """
     staged: list[tuple[Path, str]] = []
     try:
+        for path in outputs:
+            target = Path(path)
+            if target.is_dir() and not target.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, text in outputs.items():
             temporary = Path(f"{path}.mvteval-tmp")
             staged.append((temporary, path))

@@ -212,18 +212,19 @@ def detection_scores(tp: int, fp: int, fn: int) -> tuple[float, float, float, fl
 
 
 def build_association_tally(
-    gt: Dataset, pred: Dataset, tp_instances: Sequence[TpInstance]
+    gt_frames: Counter[tuple[int, str | None]],
+    pred_frames: Counter[tuple[int, str | None]],
+    tp_instances: Sequence[TpInstance],
 ) -> list[tuple[int, int, int]]:
     """(TPA, FNA, FPA) of each true positive, in the order given.
 
     For a true positive c = (view, gt, pred), the frames of that view where
     the same pair is matched are its TPA; the other frames where the
     ground-truth id appears are FNA; the other frames where the prediction
-    id appears are FPA. ``gt`` and ``pred`` must be the datasets the true
-    positives were matched on (predictions already carrying ids).
+    id appears are FPA. ``gt_frames`` and ``pred_frames`` are the
+    ``frame_counts`` of the datasets the true positives were matched on
+    (predictions already carrying ids).
     """
-    gt_frames = Counter((p.view, p.id) for p in gt.points)
-    pred_frames = Counter((p.view, p.id) for p in pred.points)
     pair_frames = Counter((v, g, p) for v, _, g, p, _ in tp_instances)
     # every true positive of one (view, gt, pred) pair has the same terms
     pair_terms = {
@@ -233,18 +234,19 @@ def build_association_tally(
     return [pair_terms[v, g, p] for v, _, g, p, _ in tp_instances]
 
 
-def _jaccard(terms: Sequence[tuple[int, int, int]], empty: float) -> float:
-    """Mean of h / (h + a + b) over per-true-positive (h, a, b) triples.
-
-    An all-zero triple scores 1; ``empty`` is the score without any triple.
-    """
-    if not terms:
-        return empty
-    return fsum(h / (h + a + b) if h + a + b else 1.0 for h, a, b in terms) / len(terms)
+def _jaccard_values(terms: Sequence[tuple[int, int, int]]) -> list[float]:
+    """h / (h + a + b) of each per-true-positive (h, a, b) triple; 1 for an all-zero one."""
+    return [h / (h + a + b) if h + a + b else 1.0 for h, a, b in terms]
 
 
-def _column_sums(terms: Sequence[tuple[int, int, int]]) -> tuple[int, ...]:
-    return tuple(map(sum, zip(*terms))) if terms else (0, 0, 0)
+def _column_sums(terms: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
+    # a loop, not zip(*terms): one iterator per term sets the collector off
+    h_sum = a_sum = b_sum = 0
+    for h, a, b in terms:
+        h_sum += h
+        a_sum += a
+        b_sum += b
+    return h_sum, a_sum, b_sum
 
 
 def _mean(values: Sequence[float], empty: float) -> float:
@@ -255,6 +257,11 @@ def _macro(items: Iterable[Any], attr: str) -> float | None:
     """Mean of ``attr`` over the items where it is not None; None if it never is."""
     defined = [x for x in (getattr(item, attr) for item in items) if x is not None]
     return fsum(defined) / len(defined) if defined else None
+
+
+def frame_counts(dataset: Dataset) -> Counter[tuple[int, str | None]]:
+    """Number of frames where each (view, id) of a dataset has a point."""
+    return Counter((p.view, p.id) for p in dataset.points)
 
 
 def view_masks(dataset: Dataset) -> dict[tuple[int, str | None], int]:
@@ -285,27 +292,27 @@ def classify_correspondence(
     ``gt_views`` and ``pred_views`` are the ``view_masks`` of the ground
     truth and of the predictions (carrying ids) the true positives were
     matched on. Every view is a bit, so a true positive is classified with
-    a few mask operations instead of a loop over views.
+    a few mask operations instead of a loop over views. Its own view is
+    set in the ground-truth mask G, in the matched mask T (a subset of G)
+    and in the prediction mask P, so FNC = |G| - |T|, FPC = |P & ~G| and
+    TPC takes the rest.
     """
-    # (frame, gt id) -> the views where that point was matched
-    tp_views: dict[tuple[int, str], int] = {}
-    for v, f, g, _, _ in tp_instances:
-        key = (f, g)
-        tp_views[key] = tp_views.get(key, 0) | 1 << v
-
-    all_views = (1 << n_views) - 1
+    # (frame, gt id) -> the number of views where that point was matched
+    matched = Counter((f, g) for _, f, g, _, _ in tp_instances)
+    n_others = n_views - 1
+    # the triple does not depend on the view, so each (frame, gt id,
+    # pred id) is classified once
+    triples: dict[tuple[int, str, str], tuple[int, int, int]] = {}
     terms = []
-    for v, f, g, p, _ in tp_instances:
-        key = (f, g)
-        others = all_views & ~(1 << v)
-        annotated = gt_views.get(key, 0) & others
-        matched = tp_views.get(key, 0) & annotated
-        stray = pred_views.get((f, p), 0) & others & ~annotated
-        n_annotated, n_matched = annotated.bit_count(), matched.bit_count()
-        fpc = stray.bit_count()
-        terms.append(
-            (n_matched + others.bit_count() - n_annotated - fpc, fpc, n_annotated - n_matched)
-        )
+    for _, f, g, p, _ in tp_instances:
+        key = (f, g, p)
+        triple = triples.get(key)
+        if triple is None:
+            annotated = gt_views[f, g]
+            fnc = annotated.bit_count() - matched[f, g]
+            fpc = (pred_views[f, p] & ~annotated).bit_count()
+            triple = triples[key] = (n_others - fpc - fnc, fpc, fnc)
+        terms.append(triple)
     return terms
 
 
@@ -427,13 +434,17 @@ class Scene:
 
     One scene serves every radius up to ``radius``: pass it to each
     ``evaluate_detailed`` call on the pair, as ``--alpha-sweep`` does. It
-    holds the occlusion report, the view masks of every (frame, id) and,
-    for every (view, frame), the ground-truth/prediction pairs closer than
-    ``radius``, nearest first, so that a smaller radius reads its pairs as
-    a prefix. Each part is built on first use. The scene also keeps the
-    frame matches already made: a frame whose within-radius pairs and
-    prediction ids are those of a radius already scored gets that radius's
-    match back. Results are the same with a shared scene and without one.
+    holds the occlusion report; the view masks of every (frame, id); the
+    frame counts of every (view, id) of the ground truth and of the
+    predictions; whether any prediction lacks an id, so that predictions
+    needing no temporal linking skip the linker; and, for every (view,
+    frame), the ground-truth/prediction pairs closer than ``radius``,
+    nearest first, so that a smaller radius reads its pairs as a prefix.
+    Each part is built on first use. The scene also keeps the frames
+    already matched: a frame whose within-radius pairs and prediction ids
+    are those of a radius already scored gets that radius's match back,
+    with its true positives and its IDF1 hits. Results are the same with a
+    shared scene and without one.
     """
 
     def __init__(self, gt: Dataset, pred: Dataset, radius: float):
@@ -449,12 +460,30 @@ class Scene:
         self.dims = (gt.image_width, gt.image_height)
         self.n_views = max(gt.n_views, pred.n_views)
         self.n_frames = max(gt.n_frames, pred.n_frames)
-        # (view, frame, number of pairs within the radius, prediction ids)
-        self._frame_matches: dict[tuple[int, int, int, tuple[str, ...]], FrameMatch] = {}
+        # (view, frame, number of pairs within the radius, prediction ids
+        # where they were linked, else None) -> (the frame's match, its
+        # true positives, its IDF1 (gt id, pred id) hits)
+        self._frames: dict[
+            tuple[int, int, int, tuple[str, ...] | None],
+            tuple[FrameMatch, tuple[TpInstance, ...], tuple[tuple[str, str], ...]],
+        ] = {}
 
     @cached_property
     def occlusion(self) -> OcclusionReport:
         return occlusion_index(self.gt)
+
+    @cached_property
+    def nameless(self) -> bool:
+        """Whether any prediction lacks an id, so that ids are linked per radius."""
+        return any(p.id is None for p in self.pred.points)
+
+    @cached_property
+    def gt_frames(self) -> Counter[tuple[int, str | None]]:
+        return frame_counts(self.gt)
+
+    @cached_property
+    def pred_frames(self) -> Counter[tuple[int, str | None]]:
+        return frame_counts(self.pred)
 
     @cached_property
     def gt_views(self) -> dict[tuple[int, str | None], int]:
@@ -474,11 +503,6 @@ class Scene:
                 if near:
                     out[v, f] = sorted(near)
         return out
-
-    def within(self, view: int, frame: int, alpha: float) -> list[tuple[float, int, int]]:
-        """The pairs of one (view, frame) closer than ``alpha``."""
-        near = self.pairs.get((view, frame), [])
-        return near[: bisect_left(near, (alpha,))]
 
     @cached_property
     def classes(self) -> list[tuple[str, Scene]]:
@@ -543,61 +567,80 @@ def evaluate_detailed(
     # the occlusion report first, so its working sets are freed before the
     # view masks and the frame pairs are built
     occlusion = scene.occlusion
-    pred_ids = assign_temporal_ids(pred, config)
+    linked = scene.nameless
+    pred_ids = assign_temporal_ids(pred, config) if linked else pred
 
     # per-view lists, in (view, frame) order, so the per-view scores below
-    # need no rescans of the pooled ones
+    # need no rescans of the pooled ones; the true positives are pooled in
+    # view order, so each view's are one slice
     view_matches: list[list[FrameMatch]] = []
     view_hits: list[Counter[tuple[str, str]]] = []  # IDF1's (gt id, pred id) frames
-    view_counts: list[tuple[int, ...]] = []  # (tp, fp, fn) of each view
+    view_counts: list[tuple[int, int, int]] = []  # (tp, fp, fn) of each view
+    tp_instances: list[TpInstance] = []
+    frames, all_pairs = scene._frames, scene.pairs
     for v in range(n_views):
         row = []
-        hits: Counter[tuple[str, str]] = Counter()
+        hits: list[tuple[str, str]] = []
+        v_start, v_fp, v_fn = len(tp_instances), 0, 0
         for f in range(n_frames):
-            near = scene.within(v, f, alpha)
-            gs, ps = gt.at(v, f), pred_ids.at(v, f)
-            key = (v, f, len(near), tuple(p.id for p in ps))
-            m = scene._frame_matches.get(key)
-            if m is None:
+            pairs = all_pairs.get((v, f), ())
+            n_near = bisect_left(pairs, (alpha,))
+            ids = tuple(p.id for p in pred_ids.at(v, f)) if linked else None
+            key = (v, f, n_near, ids)
+            entry = frames.get(key)
+            if entry is None:
+                gs, ps = gt.at(v, f), pred_ids.at(v, f)
+                near = pairs[:n_near]
                 m = match_frame(gs, ps, config, scene.dims, v, f, near)
-                scene._frame_matches[key] = m
+                # every pair within alpha is an IDF1 hit, matched or not
+                entry = frames[key] = (
+                    m,
+                    tuple((v, f, g, p, d) for g, p, d in m.tp_pairs),
+                    tuple((gs[r].id, ps[c].id) for _, r, c in near),
+                )
+            m, frame_tps, frame_hits = entry
             row.append(m)
-            # every pair within alpha is an IDF1 hit, matched or not
-            hits.update((gs[r].id, ps[c].id) for _, r, c in near)
+            tp_instances.extend(frame_tps)
+            hits.extend(frame_hits)
+            v_fp += len(m.fp_ids)
+            v_fn += len(m.fn_ids)
         view_matches.append(row)
-        view_hits.append(hits)
-        view_counts.append(
-            _column_sums([(len(m.tp_pairs), len(m.fp_ids), len(m.fn_ids)) for m in row])
-        )
+        view_hits.append(Counter(hits))
+        view_counts.append((len(tp_instances) - v_start, v_fp, v_fn))
     matches: list[FrameMatch] = [m for row in view_matches for m in row]
-    # in view order, so each view's true positives are one slice
-    tp_instances: list[TpInstance] = [
-        (m.view, m.frame, g, p, d) for m in matches for g, p, d in m.tp_pairs
-    ]
 
-    tp, fp, fn = _column_sums(view_counts)
+    tp = len(tp_instances)
+    fp = sum(v_fp for _, v_fp, _ in view_counts)
+    fn = sum(v_fn for _, _, v_fn in view_counts)
     det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
     # each term list is scored and summed as soon as it is built, then
     # dropped: kept alive through the per-view loop, the two lists slow
-    # down every garbage-collector pass there
+    # down every garbage-collector pass there. Each true positive's score
+    # is computed once; the pooled and the per-view means are exactly
+    # rounded sums over that one list and its view slices.
     policy = config.zero_tp_policy
-    ass_terms = build_association_tally(gt, pred_ids, tp_instances)
-    ass = _jaccard(ass_terms, policy)
+    ass_terms = build_association_tally(
+        scene.gt_frames,
+        frame_counts(pred_ids) if linked else scene.pred_frames,
+        tp_instances,
+    )
+    tpa, fna, fpa = _column_sums(ass_terms)
+    ass_values = _jaccard_values(ass_terms)
+    del ass_terms
+    ass = _mean(ass_values, policy)
     view_ass = []
     start = 0
     for v_tp, _, _ in view_counts:
-        view_ass.append(_jaccard(ass_terms[start : start + v_tp], policy))
+        view_ass.append(_mean(ass_values[start : start + v_tp], policy))
         start += v_tp
-    tpa, fna, fpa = _column_sums(ass_terms)
-    del ass_terms
     corres_terms = classify_correspondence(
         tp_instances,
         scene.gt_views,
-        scene.pred_views if pred_ids is pred else view_masks(pred_ids),
+        view_masks(pred_ids) if linked else scene.pred_views,
         n_views,
     )
-    corres = _jaccard(corres_terms, policy)
     tpc, fpc, fnc = _column_sums(corres_terms)
+    corres = _mean(_jaccard_values(corres_terms), policy)
     del corres_terms
     loc_acc = _mean([d for _, _, _, _, d in tp_instances], 0.0)
 

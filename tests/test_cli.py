@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -17,13 +20,15 @@ from mvteval.metrics import evaluate
 from mvteval.synth import SynthConfig, generate
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, **kwargs):
     return subprocess.run(
-        [sys.executable, "-m", "mvteval.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
+        [sys.executable, "-m", "mvteval.cli", *args], capture_output=True, text=True, **kwargs
     )
+
+
+def cap_memory():
+    """Limit the calling process's address space to 1 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 @pytest.fixture
@@ -187,6 +192,19 @@ def test_alpha_sweep_with_a_non_finite_bound_is_an_error(scene):
     assert result.stderr == "error: --alpha-sweep needs finite LO, HI and STEP\n"
 
 
+def test_alpha_sweep_with_a_step_below_the_float_resolution_is_an_error(scene):
+    gt_path, pred_path = scene
+    # 1e17 + 1 == 1e17, so the sweep would never advance; a regression
+    # that loops runs into the caps instead of filling memory
+    result = run_cli(
+        "evaluate", "--gt", str(gt_path), "--pred", str(pred_path),
+        "--alpha-sweep", "1e17:2e17:1", timeout=60, preexec_fn=cap_memory,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: --alpha-sweep STEP 1 is too small to advance from 1e+17\n"
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
 def test_non_finite_alpha_is_an_error(scene, alpha):
     gt_path, pred_path = scene
@@ -238,6 +256,35 @@ def test_a_failed_synth_output_leaves_no_ground_truth_behind(tmp_path):
     result = run_cli("synth", "--frames", "3", "--out-pred", str(target), cwd=tmp_path)
     assert_output_error(result, target)
     assert list(tmp_path.iterdir()) == []
+
+
+def assert_directory_error(result, directory, named):
+    """The output error of a target that is a directory, given as ``named``."""
+    assert result.returncode == 2
+    assert result.stdout == ""
+    message = os.strerror(errno.EISDIR)
+    assert result.stderr == f"error: [Errno {errno.EISDIR}] {message}: {named!r}\n"
+    assert list(directory.iterdir()) == []
+
+
+def test_an_evaluate_output_onto_a_directory_leaves_no_dump_behind(scene, tmp_path):
+    gt_path, pred_path = scene
+    dump, target = tmp_path / "m.json", tmp_path / "adir"
+    target.mkdir()
+    result = run_cli(
+        "evaluate", "--gt", str(gt_path), "--pred", str(pred_path),
+        "--dump-matches", str(dump), "--output", str(target),
+    )
+    assert_directory_error(result, target, str(target))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "gt.json", "pred.json"]
+
+
+def test_a_synth_output_onto_a_directory_leaves_no_ground_truth_behind(tmp_path):
+    target = tmp_path / "adir"
+    target.mkdir()
+    result = run_cli("synth", "--frames", "3", "--out-gt", "g2.json", "--out-pred", "adir", cwd=tmp_path)
+    assert_directory_error(result, target, "adir")
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
 
 
 def test_evaluate_writes_the_report_and_the_dump_together(scene, tmp_path):

@@ -21,6 +21,7 @@ from mvteval.metrics import (
     detection_scores,
     evaluate,
     evaluate_detailed,
+    frame_counts,
     hota,
     mota,
     mv_hota,
@@ -165,7 +166,7 @@ def test_association_zero_tp_policy():
 def test_ass_tally_counts():
     gt, pred = _single_track_scene(SPLIT_TRACK)
     tp_instances = [(0, f, "g", p, 0.0) for f, p in enumerate(SPLIT_TRACK)]
-    terms = build_association_tally(gt, pred, tp_instances)
+    terms = build_association_tally(frame_counts(gt), frame_counts(pred), tp_instances)
     assert terms == SPLIT_TRACK_TERMS
     tpa, fna, fpa = terms[-1]
     assert tpa / (tpa + fna + fpa) == pytest.approx(3 / 5)
@@ -177,7 +178,10 @@ def test_ass_tally_built_from_pipeline():
     # the matches carry the ground truth's own ids
     tp_instances = [(m.view, m.frame, g, p, d) for m in result.matches for g, p, d in m.tp_pairs]
     assert {g for _, _, g, _, _ in tp_instances} == {"g"}
-    assert build_association_tally(gt, result.pred_with_ids, tp_instances) == SPLIT_TRACK_TERMS
+    terms = build_association_tally(
+        frame_counts(gt), frame_counts(result.pred_with_ids), tp_instances
+    )
+    assert terms == SPLIT_TRACK_TERMS
     tallies = result.report.tallies
     assert (tallies["tpa"], tallies["fna"], tallies["fpa"]) == (13, 12, 0)
 
@@ -593,6 +597,34 @@ def test_evaluate_equals_definition_oracle(seed):
     want = oracle_evaluate(gt, pred, CONFIG)
     for key in SCORE_KEYS:
         got = getattr(report, key)
+        if want[key] is None:
+            assert got is None, key
+        else:
+            assert got == pytest.approx(want[key], abs=1e-12), key
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_linked_predictions_score_as_the_oracle_on_their_linked_ids(seed):
+    gt, pred = generate(
+        SynthConfig(
+            n_views=3,
+            n_frames=8,
+            n_points=5,
+            motion_amplitude=8.0,
+            view_drop_prob=0.2,
+            temporal_drop_prob=0.15,
+            pred_noise_sigma=2.0,
+            pred_fp_rate=0.5,
+            pred_miss_rate=0.2,
+            id_switch_prob=0.1,
+            seed=seed,
+        )
+    )
+    stripped = pred.with_points(replace(p, id=None) for p in pred.points)
+    result = evaluate_detailed(gt, stripped, CONFIG)
+    want = oracle_evaluate(gt, result.pred_with_ids, CONFIG)
+    for key in SCORE_KEYS:
+        got = getattr(result.report, key)
         if want[key] is None:
             assert got is None, key
         else:

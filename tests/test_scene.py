@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvteval import cli, metrics
 from mvteval.core import EvalConfig, Point, Role, parse_dataset, serialize_dataset
@@ -108,6 +111,39 @@ def test_shared_scene_gives_the_same_result(per_class, strip_ids):
         )
 
 
+ID_MODES = ("kept", "half stripped", "all stripped")
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    n_views=st.integers(1, 4),
+    ids=st.sampled_from(ID_MODES),
+    per_class=st.booleans(),
+    radii=st.lists(st.sampled_from([0.5, 2.0, 3.5, 6.0, 12.0, 100.0]), min_size=1, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_shared_scene_scores_every_radius_as_a_fresh_evaluation(
+    seed, n_views, ids, per_class, radii
+):
+    gt, pred = generate(replace(SYNTH, n_views=n_views, seed=seed))
+    if per_class:
+        gt, pred = labelled(gt, 0), labelled(pred, 1)
+    if ids != "kept":
+        pred = pred.with_points(
+            replace(p, id=None) if ids == "all stripped" or i % 2 else p
+            for i, p in enumerate(pred.points)
+        )
+    scene = Scene(gt, pred, max(radii))
+    # the drawn order, then largest first, so radii repeat and come out of order
+    for alpha in radii + sorted(radii, reverse=True):
+        config = EvalConfig(alpha=alpha, per_class=per_class)
+        shared = evaluate_detailed(gt, pred, config, scene=scene)
+        fresh = evaluate_detailed(gt, pred, config)
+        assert shared.report == fresh.report
+        assert shared.matches == fresh.matches
+        assert shared.pred_with_ids == fresh.pred_with_ids
+
+
 def count_calls(monkeypatch, module, *names):
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -134,8 +170,7 @@ def test_a_sweep_relabels_and_measures_occlusion_once(tmp_path, monkeypatch, ass
     assert evaluations == {"evaluate_detailed": 7}  # the headline and six radii
 
 
-def test_a_repeated_radius_makes_no_new_match(monkeypatch):
-    gt, pred = scene_pair()
+def assert_a_repeated_radius_makes_no_new_match(monkeypatch, gt, pred):
     scene = Scene(gt, pred, 12.0)
     calls = count_calls(monkeypatch, metrics, "match_frame")
     first = evaluate_detailed(gt, pred, EvalConfig(alpha=6.0), scene=scene)
@@ -143,6 +178,14 @@ def test_a_repeated_radius_makes_no_new_match(monkeypatch):
     again = evaluate_detailed(gt, pred, EvalConfig(alpha=6.0), scene=scene)
     assert calls["match_frame"] == SYNTH.n_views * SYNTH.n_frames
     assert again == first
+
+
+def test_a_repeated_radius_makes_no_new_match(monkeypatch):
+    assert_a_repeated_radius_makes_no_new_match(monkeypatch, *scene_pair())
+
+
+def test_a_repeated_radius_makes_no_new_match_for_linked_predictions(monkeypatch):
+    assert_a_repeated_radius_makes_no_new_match(monkeypatch, *scene_pair(strip_ids=True))
 
 
 def test_scene_must_belong_to_the_pair_and_cover_the_radius():
