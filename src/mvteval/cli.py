@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 validation failure (geometry mismatch without
 --force, a pair that cannot be scored even with --force, invalid generator
 settings, a radius that is not positive and finite, an --alpha-sweep that
-is malformed or whose STEP cannot advance in floating point), 2 unreadable
-or malformed input, or an output that cannot be written (then none is,
-and an output path that is a directory is refused before any is written).
+is malformed, whose STEP cannot advance in floating point or that gives
+more than 10,000 radii), 2 unreadable or malformed input, or an output
+that cannot be written (then none is, and an output path that is a
+directory is refused before any is written).
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
 """
@@ -32,10 +33,12 @@ from .core import (
     serialize_dataset,
     validate_pair,
 )
-from .metrics import EvaluationError, Scene, evaluate_detailed, occlusion_index
+from .metrics import EvaluationError, MetricReport, Scene, evaluate_detailed, occlusion_index
 from .synth import SynthConfig, generate
 
-_SWEEP_KEYS = ("mota", "idf1", "f1", "det_acc", "ass_acc", "hota", "corres_acc", "mv_hota", "loc_acc")
+_SWEEP_KEYS = MetricReport._COLUMNS + ("loc_acc",)
+# the most radii one --alpha-sweep may ask for: the list is built before any is scored
+_SWEEP_LIMIT = 10_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,6 +111,8 @@ def _parse_sweep(spec: str) -> list[float]:
         values.append(round(current, 9))
         if current + step == current:
             raise ValueError(f"--alpha-sweep STEP {step:g} is too small to advance from {current:g}")
+        if len(values) > _SWEEP_LIMIT:
+            raise ValueError(f"--alpha-sweep gives more than {_SWEEP_LIMIT} radii")
         current += step
     return values
 

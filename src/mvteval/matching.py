@@ -328,8 +328,6 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
     """
     if pred.role is not Role.PREDICTION:
         raise ValueError("assign_temporal_ids expects a prediction dataset")
-    if all(p.id is not None for p in pred.points):
-        return pred
 
     dims = (pred.image_width, pred.image_height)
     # (view, frame) -> an iterator over the ids given to its id-less points,

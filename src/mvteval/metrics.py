@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from math import fsum
 from typing import Any, Iterable, Sequence
@@ -50,18 +50,7 @@ class OcclusionReport:
     multiview: float | None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "simple": self.simple,
-            "weighted_per_view": list(self.weighted_per_view)
-            if self.weighted_per_view is not None
-            else None,
-            "weighted_mean": self.weighted_mean,
-            "temporal_per_view": list(self.temporal_per_view)
-            if self.temporal_per_view is not None
-            else None,
-            "temporal_mean": self.temporal_mean,
-            "multiview": self.multiview,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -79,19 +68,7 @@ class PerViewScores:
     idf1: float | None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "view": self.view,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "idsw": self.idsw,
-            "det_acc": self.det_acc,
-            "ass_acc": self.ass_acc,
-            "f1": self.f1,
-            "hota": self.hota,
-            "mota": self.mota,
-            "idf1": self.idf1,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -544,12 +521,12 @@ def evaluate_detailed(
 ) -> EvaluationResult:
     """Like ``evaluate`` but keeps the intermediate artifacts.
 
-    Pipeline: assign prediction ids by temporal matching where missing,
-    match every (view, frame) on the ground truth's own ids, then tally.
+    Pipeline: link prediction ids where any is missing; then one block per
+    view matches its frames on the ground truth's own ids and scores it;
+    correspondence, which needs every view's true positives, comes last.
     Deterministic for a given input pair and config. ``scene``, a ``Scene``
-    of this same pair with a radius of at least ``config.alpha``, only skips
-    work already done for another radius; without it the call builds its
-    own.
+    of this same pair with a radius of at least ``config.alpha``, only
+    skips work done for another radius; a call without one builds its own.
     """
     config = config or EvalConfig()
     if scene is None:
@@ -562,34 +539,39 @@ def evaluate_detailed(
     if config.per_class:
         return _evaluate_per_class(scene, config)
 
-    gt, pred, alpha = scene.gt, scene.pred, config.alpha
+    gt, alpha, policy = scene.gt, config.alpha, config.zero_tp_policy
     n_views, n_frames = scene.n_views, scene.n_frames
     # the occlusion report first, so its working sets are freed before the
     # view masks and the frame pairs are built
     occlusion = scene.occlusion
     linked = scene.nameless
-    pred_ids = assign_temporal_ids(pred, config) if linked else pred
+    if linked:
+        pred = assign_temporal_ids(scene.pred, config)
+        pred_frames, pred_views = frame_counts(pred), view_masks(pred)
+    else:
+        pred, pred_frames, pred_views = scene.pred, scene.pred_frames, scene.pred_views
 
-    # per-view lists, in (view, frame) order, so the per-view scores below
-    # need no rescans of the pooled ones; the true positives are pooled in
-    # view order, so each view's are one slice
-    view_matches: list[list[FrameMatch]] = []
-    view_hits: list[Counter[tuple[str, str]]] = []  # IDF1's (gt id, pred id) frames
-    view_counts: list[tuple[int, int, int]] = []  # (tp, fp, fn) of each view
+    # pooled in (view, frame) order; the pooled association mean and each
+    # view's are exactly rounded sums over the same per-TP values
+    matches: list[FrameMatch] = []
     tp_instances: list[TpInstance] = []
+    ass_values: list[float] = []
+    per_view: list[PerViewScores] = []
+    fp = fn = tpa = fna = fpa = 0
     frames, all_pairs = scene._frames, scene.pairs
     for v in range(n_views):
         row = []
-        hits: list[tuple[str, str]] = []
-        v_start, v_fp, v_fn = len(tp_instances), 0, 0
+        v_tps: list[TpInstance] = []
+        hits: list[tuple[str, str]] = []  # IDF1's (gt id, pred id) frames
+        v_fp = v_fn = 0
         for f in range(n_frames):
             pairs = all_pairs.get((v, f), ())
             n_near = bisect_left(pairs, (alpha,))
-            ids = tuple(p.id for p in pred_ids.at(v, f)) if linked else None
+            ids = tuple(p.id for p in pred.at(v, f)) if linked else None
             key = (v, f, n_near, ids)
             entry = frames.get(key)
             if entry is None:
-                gs, ps = gt.at(v, f), pred_ids.at(v, f)
+                gs, ps = gt.at(v, f), pred.at(v, f)
                 near = pairs[:n_near]
                 m = match_frame(gs, ps, config, scene.dims, v, f, near)
                 # every pair within alpha is an IDF1 hit, matched or not
@@ -600,58 +582,28 @@ def evaluate_detailed(
                 )
             m, frame_tps, frame_hits = entry
             row.append(m)
-            tp_instances.extend(frame_tps)
+            v_tps.extend(frame_tps)
             hits.extend(frame_hits)
             v_fp += len(m.fp_ids)
             v_fn += len(m.fn_ids)
-        view_matches.append(row)
-        view_hits.append(Counter(hits))
-        view_counts.append((len(tp_instances) - v_start, v_fp, v_fn))
-    matches: list[FrameMatch] = [m for row in view_matches for m in row]
-
-    tp = len(tp_instances)
-    fp = sum(v_fp for _, v_fp, _ in view_counts)
-    fn = sum(v_fn for _, _, v_fn in view_counts)
-    det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
-    # each term list is scored and summed as soon as it is built, then
-    # dropped: kept alive through the per-view loop, the two lists slow
-    # down every garbage-collector pass there. Each true positive's score
-    # is computed once; the pooled and the per-view means are exactly
-    # rounded sums over that one list and its view slices.
-    policy = config.zero_tp_policy
-    ass_terms = build_association_tally(
-        scene.gt_frames,
-        frame_counts(pred_ids) if linked else scene.pred_frames,
-        tp_instances,
-    )
-    tpa, fna, fpa = _column_sums(ass_terms)
-    ass_values = _jaccard_values(ass_terms)
-    del ass_terms
-    ass = _mean(ass_values, policy)
-    view_ass = []
-    start = 0
-    for v_tp, _, _ in view_counts:
-        view_ass.append(_mean(ass_values[start : start + v_tp], policy))
-        start += v_tp
-    corres_terms = classify_correspondence(
-        tp_instances,
-        scene.gt_views,
-        view_masks(pred_ids) if linked else scene.pred_views,
-        n_views,
-    )
-    tpc, fpc, fnc = _column_sums(corres_terms)
-    corres = _mean(_jaccard_values(corres_terms), policy)
-    del corres_terms
-    loc_acc = _mean([d for _, _, _, _, d in tp_instances], 0.0)
-
-    per_view: list[PerViewScores] = []
-    for v, (v_tp, v_fp, v_fn) in enumerate(view_counts):
+        matches.extend(row)
+        tp_instances.extend(v_tps)
+        fp += v_fp
+        fn += v_fn
+        v_tp = len(v_tps)
         # a view's points are its tp + fn ground truth and tp + fp predictions
         if v_tp + v_fp + v_fn == 0:
             continue
+        # a true positive's terms depend only on its own view's true
+        # positives and the per-(view, id) frame counts
+        ass_terms = build_association_tally(scene.gt_frames, pred_frames, v_tps)
+        v_tpa, v_fna, v_fpa = _column_sums(ass_terms)
+        tpa, fna, fpa = tpa + v_tpa, fna + v_fna, fpa + v_fpa
+        v_values = _jaccard_values(ass_terms)
+        ass_values.extend(v_values)
+        v_ass = _mean(v_values, policy)
         v_det_acc, _, _, v_f1 = detection_scores(v_tp, v_fp, v_fn)
-        v_ass = view_ass[v]
-        v_idsw = count_id_switches(view_matches[v])
+        v_idsw = count_id_switches(row)
         per_view.append(
             PerViewScores(
                 view=v,
@@ -664,9 +616,17 @@ def evaluate_detailed(
                 f1=v_f1,
                 hota=hota(v_det_acc, v_ass),
                 mota=mota(v_tp + v_fn, v_fn, v_fp, v_idsw),
-                idf1=idf1(v_tp + v_fn, v_tp + v_fp, view_hits[v]),
+                idf1=idf1(v_tp + v_fn, v_tp + v_fp, Counter(hits)),
             )
         )
+
+    tp = len(tp_instances)
+    det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
+    ass = _mean(ass_values, policy)
+    corres_terms = classify_correspondence(tp_instances, scene.gt_views, pred_views, n_views)
+    tpc, fpc, fnc = _column_sums(corres_terms)
+    corres = _mean(_jaccard_values(corres_terms), policy)
+    loc_acc = _mean([d for _, _, _, _, d in tp_instances], 0.0)
 
     report = MetricReport(
         alpha=alpha,
@@ -690,7 +650,7 @@ def evaluate_detailed(
             "fn": fn,
             "idsw": sum(view.idsw for view in per_view),
             "gt_observations": len(gt.points),
-            "pred_observations": len(pred_ids.points),
+            "pred_observations": len(pred.points),
             "tpa": tpa,
             "fna": fna,
             "fpa": fpa,
@@ -704,7 +664,7 @@ def evaluate_detailed(
         report=report,
         matches=tuple(matches),
         gt=gt,
-        pred_with_ids=pred_ids,
+        pred_with_ids=pred,
     )
 
 

@@ -205,6 +205,24 @@ def test_alpha_sweep_with_a_step_below_the_float_resolution_is_an_error(scene):
     assert result.stderr == "error: --alpha-sweep STEP 1 is too small to advance from 1e+17\n"
 
 
+def test_parse_sweep_accepts_up_to_the_radius_limit():
+    assert len(cli._parse_sweep(f"1:{cli._SWEEP_LIMIT}:1")) == cli._SWEEP_LIMIT
+    with pytest.raises(ValueError, match=f"more than {cli._SWEEP_LIMIT} radii"):
+        cli._parse_sweep(f"1:{cli._SWEEP_LIMIT + 1}:1")
+
+
+def test_alpha_sweep_with_too_many_radii_is_an_error(scene):
+    gt_path, pred_path = scene
+    # a billion radii; a regression that builds them runs into the caps
+    result = run_cli(
+        "evaluate", "--gt", str(gt_path), "--pred", str(pred_path),
+        "--alpha-sweep", "1:1e9:1", timeout=60, preexec_fn=cap_memory,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: --alpha-sweep gives more than 10000 radii\n"
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan"])
 def test_non_finite_alpha_is_an_error(scene, alpha):
     gt_path, pred_path = scene

@@ -751,6 +751,44 @@ def test_pooled_scores_agree_with_the_per_view_and_per_tp_ones(scene, per_class,
             assert weighted == pytest.approx(r.ass_acc, abs=1e-12)
 
 
+@pytest.mark.parametrize("strip_ids", [False, True])
+def test_a_view_without_points_is_skipped_and_one_without_ground_truth_is_scored(strip_ids):
+    # view 0: two tracks with a swap, a miss and a far false positive;
+    # view 1: no point at all; view 2: predictions only
+    gt = dataset(
+        [gt_point(20 + 2 * f, 20, "g1", frame=f) for f in range(4)]
+        + [gt_point(60, 40 + 2 * f, "g2", frame=f) for f in range(4)],
+        n_views=3,
+        n_frames=4,
+    )
+    near_g1 = ["a", "a", "b", "a"]
+    near_g2 = ["b", "b", "a", None]
+    pred = dataset(
+        [gt_point(21 + 2 * f, 21, near_g1[f], frame=f) for f in range(4)]
+        + [gt_point(61, 41 + 2 * f, near_g2[f], frame=f) for f in range(3)]
+        + [gt_point(150, 150, "c", frame=3)]
+        + [gt_point(100, 100, "a", view=2, frame=f) for f in (1, 2)]
+        + [gt_point(30, 160, "d", view=2, frame=3)],
+        n_views=3,
+        n_frames=4,
+        role=Role.PREDICTION,
+    )
+    if strip_ids:
+        pred = pred.with_points(replace(p, id=None) for p in pred.points)
+    result = evaluate_detailed(gt, pred, CONFIG)
+    report = result.report
+    assert [v.view for v in report.per_view] == [0, 2]
+    assert [(v.tp, v.fp, v.fn) for v in report.per_view] == [(7, 1, 1), (0, 3, 0)]
+    want = oracle_evaluate(gt, result.pred_with_ids, CONFIG)
+    for key in SCORE_KEYS:
+        got = getattr(report, key)
+        assert got == pytest.approx(want[key], abs=1e-12), key
+    for key in ("tp", "fp", "fn", "idsw"):
+        assert report.tallies[key] == sum(getattr(v, key) for v in report.per_view), key
+    if not strip_ids:
+        assert report.tallies["idsw"] == 3
+
+
 @pytest.mark.parametrize("per_class", [False, True])
 def test_matches_carry_the_ground_truths_own_ids(monkeypatch, per_class):
     gt, pred = generate(
