@@ -174,7 +174,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
 
     if args.assign_ids:
-        pred = pred.with_points(
+        # predictions may lack ids, so stripping every id keeps them valid
+        pred = pred._with_valid_points(
             Point(view=p.view, frame=p.frame, x=p.x, y=p.y, id=None, class_label=p.class_label)
             for p in pred.points
         )

@@ -35,9 +35,9 @@ class DatasetError(ValueError):
         super().__init__(f"{position}: {message}" if position else message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
-    """One labelled or predicted 2-D point observation."""
+    """One labelled or predicted 2-D point observation (slotted: no ``__dict__``)."""
 
     view: int
     frame: int
@@ -66,38 +66,42 @@ class Dataset:
     )
 
     def __post_init__(self):
-        if self.n_views < 1:
-            raise DatasetError("n_views must be >= 1", "n_views")
-        if self.n_frames < 1:
-            raise DatasetError("n_frames must be >= 1", "n_frames")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise DatasetError("image dimensions must be positive", "image_width")
-        by_frame: dict[tuple[int, int], list[Point]] = {}
-        seen_ids: set[tuple[str, int, int]] = set()
-        # positions are formatted only for a failing point
-        for i, p in enumerate(self.points):
-            if not 0 <= p.view < self.n_views:
-                raise DatasetError(f"view {p.view} out of range", f"points[{i}].view")
-            if not 0 <= p.frame < self.n_frames:
-                raise DatasetError(f"frame {p.frame} out of range", f"points[{i}].frame")
-            if not 0 <= p.x <= self.image_width:
-                raise DatasetError(f"x={p.x} outside image", f"points[{i}].x")
-            if not 0 <= p.y <= self.image_height:
-                raise DatasetError(f"y={p.y} outside image", f"points[{i}].y")
-            if self.role is Role.GROUND_TRUTH and p.id is None:
-                raise DatasetError("ground-truth point without id", f"points[{i}].id")
-            if p.id is not None:
-                key = (p.id, p.view, p.frame)
-                if key in seen_ids:
-                    raise DatasetError(
-                        f"duplicate id {p.id!r} in view {p.view}, frame {p.frame}",
-                        f"points[{i}].id",
-                    )
-                seen_ids.add(key)
-            by_frame.setdefault((p.view, p.frame), []).append(p)
-        object.__setattr__(
-            self, "_by_frame", {k: tuple(v) for k, v in by_frame.items()}
-        )
+        geometry = (self.n_views, self.n_frames, self.image_width, self.image_height)
+        _check_geometry(*geometry)
+        _, by_frame, failure = _index(self.points, geometry, self.role)
+        if failure is not None:
+            raise failure
+        object.__setattr__(self, "_by_frame", by_frame)
+
+    @classmethod
+    def _unchecked(
+        cls,
+        n_views: int,
+        n_frames: int,
+        image_width: int,
+        image_height: int,
+        points: tuple[Point, ...],
+        role: Role,
+        by_frame: dict[tuple[int, int], tuple[Point, ...]] | None = None,
+    ) -> Dataset:
+        """A dataset of points known to pass every check, built without running them.
+
+        For callers whose points follow from a valid dataset: same geometry,
+        same role, and ids that stay unique per (view, frame). ``by_frame``
+        is the per-(view, frame) index when the caller has built it.
+        """
+        dataset = object.__new__(cls)
+        for name, value in (
+            ("n_views", n_views),
+            ("n_frames", n_frames),
+            ("image_width", image_width),
+            ("image_height", image_height),
+            ("points", points),
+            ("role", role),
+            ("_by_frame", _index(points, None, role)[1] if by_frame is None else by_frame),
+        ):
+            object.__setattr__(dataset, name, value)
+        return dataset
 
     def at(self, view: int, frame: int) -> tuple[Point, ...]:
         """Points of one (view, frame), in input order."""
@@ -112,6 +116,13 @@ class Dataset:
             image_height=self.image_height,
             points=tuple(points),
             role=self.role,
+        )
+
+    def _with_valid_points(self, points: Iterable[Point]) -> Dataset:
+        """``with_points`` for points known to keep every invariant, without the checks."""
+        return Dataset._unchecked(
+            self.n_views, self.n_frames, self.image_width, self.image_height, tuple(points),
+            self.role,
         )
 
     def to_dict(self) -> dict[str, Any]:
@@ -222,7 +233,12 @@ def _number_field(obj: dict, key: str, index: int | None = None) -> float:
     value = obj.get(key, _MISSING)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _invalid(value, "number", key, index)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float range; too long to quote
+        raise DatasetError(
+            "number does not fit a float", key if index is None else f"points[{index}].{key}"
+        ) from None
 
 
 def _opt_str_field(obj: dict, key: str, index: int | None = None) -> str | None:
@@ -232,8 +248,79 @@ def _opt_str_field(obj: dict, key: str, index: int | None = None) -> str | None:
     raise _invalid(value, "string or null", key, index)
 
 
+def _check_geometry(n_views: int, n_frames: int, image_width: int, image_height: int) -> None:
+    if n_views < 1:
+        raise DatasetError("n_views must be >= 1", "n_views")
+    if n_frames < 1:
+        raise DatasetError("n_frames must be >= 1", "n_frames")
+    if image_width <= 0 or image_height <= 0:
+        raise DatasetError("image dimensions must be positive", "image_width")
+
+
+def _index(
+    points: Iterable[Point], geometry: tuple[int, int, int, int] | None, role: Role
+) -> tuple[tuple[Point, ...], dict[tuple[int, int], tuple[Point, ...]], DatasetError | None]:
+    """The points, their per-(view, frame) index and the first point that breaks a rule.
+
+    Without a ``geometry`` (n_views, n_frames, image_width, image_height)
+    nothing is checked. Otherwise a point must lie in it, carry an id if
+    it is ground truth, and not repeat an id of its (view, frame); the
+    first one that does not is returned as an error, by the rules in that
+    order. Every point is drawn even after a failure, so that an error the
+    iterable itself raises while reading a later point wins.
+    """
+    n_views, n_frames, image_width, image_height = geometry or (0, 0, 0, 0)
+    kept: list[Point] = []
+    rows: dict[tuple[int, int], list[Point]] = {}
+    seen_ids: set[tuple[str, int, int]] = set()
+    needs_id = role is Role.GROUND_TRUTH
+    failure: DatasetError | None = None
+    # positions are formatted only for a failing point
+    for i, p in enumerate(points):
+        kept.append(p)
+        if failure is not None:
+            continue
+        view, frame, pid = p.view, p.frame, p.id
+        if geometry is not None:
+            if not 0 <= view < n_views:
+                failure = DatasetError(f"view {view} out of range", f"points[{i}].view")
+            elif not 0 <= frame < n_frames:
+                failure = DatasetError(f"frame {frame} out of range", f"points[{i}].frame")
+            elif not 0 <= p.x <= image_width:
+                failure = DatasetError(f"x={p.x} outside image", f"points[{i}].x")
+            elif not 0 <= p.y <= image_height:
+                failure = DatasetError(f"y={p.y} outside image", f"points[{i}].y")
+            elif pid is None:
+                if needs_id:
+                    failure = DatasetError("ground-truth point without id", f"points[{i}].id")
+            elif (pid, view, frame) in seen_ids:
+                failure = DatasetError(
+                    f"duplicate id {pid!r} in view {view}, frame {frame}", f"points[{i}].id"
+                )
+            else:
+                seen_ids.add((pid, view, frame))
+            if failure is not None:
+                continue
+        row = rows.get((view, frame))
+        if row is None:
+            rows[view, frame] = [p]
+        else:
+            row.append(p)
+    return tuple(kept), {key: tuple(row) for key, row in rows.items()}, failure
+
+
+_HEADER = ("n_views", "n_frames", "image_width", "image_height")
+
+
 def dataset_from_dict(data: Any, role: Role) -> Dataset:
-    """Build a validated dataset from already-decoded JSON."""
+    """Build a validated dataset from already-decoded JSON.
+
+    One pass reads each point, checks its fields' types and ranges and
+    indexes it. The first error is reported, in this precedence: a field
+    of the wrong type, in point order; then the header's fields; then the
+    geometry; then a point out of range, without a ground-truth id or
+    repeating an id, in point order.
+    """
     if not isinstance(data, dict):
         raise DatasetError("top-level value must be an object", "$")
     if "points" not in data:
@@ -241,28 +328,35 @@ def dataset_from_dict(data: Any, role: Role) -> Dataset:
     raw_points = data["points"]
     if not isinstance(raw_points, list):
         raise DatasetError("points must be an array", "points")
-    points = []
+    header = [data.get(key) for key in _HEADER]
+    # ranges are checked only against a well-typed header, whose own
+    # errors are raised after every point has been read
+    ranged = all(isinstance(value, int) and not isinstance(value, bool) for value in header)
+    points, by_frame, failure = _index(
+        _read_points(raw_points), tuple(header) if ranged else None, role
+    )
+    n_views, n_frames, image_width, image_height = (_int_field(data, key) for key in _HEADER)
+    _check_geometry(n_views, n_frames, image_width, image_height)
+    if failure is not None:
+        raise failure
+    return Dataset._unchecked(
+        n_views, n_frames, image_width, image_height, points, role, by_frame
+    )
+
+
+def _read_points(raw_points: list) -> Iterable[Point]:
+    """Each entry as a ``Point``, raising on the first field of the wrong type."""
     for i, entry in enumerate(raw_points):
         if not isinstance(entry, dict):
             raise DatasetError("point must be an object", f"points[{i}]")
-        points.append(
-            Point(
-                view=_int_field(entry, "view", i),
-                frame=_int_field(entry, "frame", i),
-                x=_number_field(entry, "x", i),
-                y=_number_field(entry, "y", i),
-                id=_opt_str_field(entry, "id", i),
-                class_label=_opt_str_field(entry, "class", i),
-            )
+        yield Point(
+            _int_field(entry, "view", i),
+            _int_field(entry, "frame", i),
+            _number_field(entry, "x", i),
+            _number_field(entry, "y", i),
+            _opt_str_field(entry, "id", i),
+            _opt_str_field(entry, "class", i),
         )
-    return Dataset(
-        n_views=_int_field(data, "n_views"),
-        n_frames=_int_field(data, "n_frames"),
-        image_width=_int_field(data, "image_width"),
-        image_height=_int_field(data, "image_height"),
-        points=tuple(points),
-        role=role,
-    )
 
 
 def parse_dataset(source: str | Path | IO[str], role: Role) -> Dataset:
@@ -278,6 +372,8 @@ def parse_dataset(source: str | Path | IO[str], role: Role) -> Dataset:
         raise DatasetError(
             f"malformed JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than the interpreter converts
+        raise DatasetError(f"malformed JSON: {exc}") from exc
     return dataset_from_dict(data, role)
 
 
@@ -314,7 +410,8 @@ def remap_gt_ids(gt: Dataset) -> tuple[Dataset, IdMap]:
         view: {i: gid for gid, i in mapping.items()}
         for view, mapping in to_local.items()
     }
-    remapped = gt.with_points(
+    # ids map one-to-one within a view, so they stay unique per (view, frame)
+    remapped = gt._with_valid_points(
         Point(
             view=p.view,
             frame=p.frame,

@@ -362,7 +362,9 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
                 last[p.id if p.id is not None else next(unnamed)] = p
             assigned[view, frame] = iter(ids)
 
-    return pred.with_points(
+    # a frame's assigned ids are distinct and none is kept by a point of
+    # that frame, so ids stay unique per (view, frame)
+    return pred._with_valid_points(
         p if p.id is not None else Point(
             view=p.view,
             frame=p.frame,

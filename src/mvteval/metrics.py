@@ -29,6 +29,16 @@ from .matching import (
 
 # One matched true positive: (view, frame, gt id, pred id, distance).
 TpInstance = tuple[int, int, str, str, float]
+# One frame memo key: (view, frame, number of pairs within the radius, the
+# frame's prediction ids where they were linked, else None).
+FrameKey = tuple[int, int, int, "tuple[str, ...] | None"]
+# One view's result: its frame matches, true positives, fp, fn, association
+# (TPA, FNA, FPA) sums and per-TP values, and its scores (None for a view
+# without points).
+ViewResult = tuple[
+    list["FrameMatch"], list[TpInstance], int, int, tuple[int, int, int], list[float],
+    "PerViewScores | None",
+]
 
 
 @dataclass(frozen=True)
@@ -417,11 +427,16 @@ class Scene:
     needing no temporal linking skip the linker; and, for every (view,
     frame), the ground-truth/prediction pairs closer than ``radius``,
     nearest first, so that a smaller radius reads its pairs as a prefix.
-    Each part is built on first use. The scene also keeps the frames
-    already matched: a frame whose within-radius pairs and prediction ids
-    are those of a radius already scored gets that radius's match back,
-    with its true positives and its IDF1 hits. Results are the same with a
-    shared scene and without one.
+    Each part is built on first use. The scene also keeps two memos of
+    results already computed. The frame memo: a frame whose within-radius
+    pairs and prediction ids are those of a radius already scored gets
+    that radius's match back, with its true positives and its IDF1 hits.
+    The row memo: a view whose frame keys, in frame order, and
+    ``zero_tp_policy`` are those of a radius already scored gets that
+    view's whole result back (its matches, true positives, fp and fn,
+    association sums and values, and per-view scores), so its
+    association, id switches and IDF1 are not computed again. Results are
+    the same with a shared scene and without one.
     """
 
     def __init__(self, gt: Dataset, pred: Dataset, radius: float):
@@ -437,13 +452,14 @@ class Scene:
         self.dims = (gt.image_width, gt.image_height)
         self.n_views = max(gt.n_views, pred.n_views)
         self.n_frames = max(gt.n_frames, pred.n_frames)
-        # (view, frame, number of pairs within the radius, prediction ids
-        # where they were linked, else None) -> (the frame's match, its
-        # true positives, its IDF1 (gt id, pred id) hits)
+        # frame key -> (the frame's match, its true positives, its IDF1
+        # (gt id, pred id) hits)
         self._frames: dict[
-            tuple[int, int, int, tuple[str, ...] | None],
-            tuple[FrameMatch, tuple[TpInstance, ...], tuple[tuple[str, str], ...]],
+            FrameKey, tuple[FrameMatch, tuple[TpInstance, ...], tuple[tuple[str, str], ...]]
         ] = {}
+        # (zero_tp_policy, one view's frame keys in frame order) -> the
+        # view's result
+        self._views: dict[tuple[float, tuple[FrameKey, ...]], ViewResult] = {}
 
     @cached_property
     def occlusion(self) -> OcclusionReport:
@@ -498,8 +514,8 @@ class Scene:
             (
                 label if label is not None else _UNLABELLED,
                 Scene(
-                    gt.with_points(p for p in gt.points if p.class_label == label),
-                    pred.with_points(p for p in pred.points if p.class_label == label),
+                    gt._with_valid_points(p for p in gt.points if p.class_label == label),
+                    pred._with_valid_points(p for p in pred.points if p.class_label == label),
                     self.radius,
                 ),
             )
@@ -521,8 +537,9 @@ def evaluate_detailed(
 ) -> EvaluationResult:
     """Like ``evaluate`` but keeps the intermediate artifacts.
 
-    Pipeline: link prediction ids where any is missing; then one block per
-    view matches its frames on the ground truth's own ids and scores it;
+    Pipeline: link prediction ids where any is missing; then each view's
+    frames are matched on the ground truth's own ids and the view is
+    scored, unless the scene already holds that view's result;
     correspondence, which needs every view's true positives, comes last.
     Deterministic for a given input pair and config. ``scene``, a ``Scene``
     of this same pair with a radius of at least ``config.alpha``, only
@@ -558,67 +575,24 @@ def evaluate_detailed(
     ass_values: list[float] = []
     per_view: list[PerViewScores] = []
     fp = fn = tpa = fna = fpa = 0
-    frames, all_pairs = scene._frames, scene.pairs
+    views, all_pairs = scene._views, scene.pairs
     for v in range(n_views):
-        row = []
-        v_tps: list[TpInstance] = []
-        hits: list[tuple[str, str]] = []  # IDF1's (gt id, pred id) frames
-        v_fp = v_fn = 0
+        keys = []
         for f in range(n_frames):
-            pairs = all_pairs.get((v, f), ())
-            n_near = bisect_left(pairs, (alpha,))
-            ids = tuple(p.id for p in pred.at(v, f)) if linked else None
-            key = (v, f, n_near, ids)
-            entry = frames.get(key)
-            if entry is None:
-                gs, ps = gt.at(v, f), pred.at(v, f)
-                near = pairs[:n_near]
-                m = match_frame(gs, ps, config, scene.dims, v, f, near)
-                # every pair within alpha is an IDF1 hit, matched or not
-                entry = frames[key] = (
-                    m,
-                    tuple((v, f, g, p, d) for g, p, d in m.tp_pairs),
-                    tuple((gs[r].id, ps[c].id) for _, r, c in near),
-                )
-            m, frame_tps, frame_hits = entry
-            row.append(m)
-            v_tps.extend(frame_tps)
-            hits.extend(frame_hits)
-            v_fp += len(m.fp_ids)
-            v_fn += len(m.fn_ids)
+            n_near = bisect_left(all_pairs.get((v, f), ()), (alpha,))
+            keys.append((v, f, n_near, tuple(p.id for p in pred.at(v, f)) if linked else None))
+        key = (policy, tuple(keys))
+        entry = views.get(key)
+        if entry is None:
+            entry = views[key] = _score_view(scene, pred, pred_frames, keys, config)
+        row, v_tps, v_fp, v_fn, (v_tpa, v_fna, v_fpa), v_values, scores = entry
         matches.extend(row)
         tp_instances.extend(v_tps)
-        fp += v_fp
-        fn += v_fn
-        v_tp = len(v_tps)
-        # a view's points are its tp + fn ground truth and tp + fp predictions
-        if v_tp + v_fp + v_fn == 0:
-            continue
-        # a true positive's terms depend only on its own view's true
-        # positives and the per-(view, id) frame counts
-        ass_terms = build_association_tally(scene.gt_frames, pred_frames, v_tps)
-        v_tpa, v_fna, v_fpa = _column_sums(ass_terms)
-        tpa, fna, fpa = tpa + v_tpa, fna + v_fna, fpa + v_fpa
-        v_values = _jaccard_values(ass_terms)
         ass_values.extend(v_values)
-        v_ass = _mean(v_values, policy)
-        v_det_acc, _, _, v_f1 = detection_scores(v_tp, v_fp, v_fn)
-        v_idsw = count_id_switches(row)
-        per_view.append(
-            PerViewScores(
-                view=v,
-                tp=v_tp,
-                fp=v_fp,
-                fn=v_fn,
-                idsw=v_idsw,
-                det_acc=v_det_acc,
-                ass_acc=v_ass,
-                f1=v_f1,
-                hota=hota(v_det_acc, v_ass),
-                mota=mota(v_tp + v_fn, v_fn, v_fp, v_idsw),
-                idf1=idf1(v_tp + v_fn, v_tp + v_fp, Counter(hits)),
-            )
-        )
+        fp, fn = fp + v_fp, fn + v_fn
+        tpa, fna, fpa = tpa + v_tpa, fna + v_fna, fpa + v_fpa
+        if scores is not None:
+            per_view.append(scores)
 
     tp = len(tp_instances)
     det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
@@ -666,6 +640,70 @@ def evaluate_detailed(
         gt=gt,
         pred_with_ids=pred,
     )
+
+
+def _score_view(
+    scene: Scene,
+    pred: Dataset,
+    pred_frames: Counter[tuple[int, str | None]],
+    keys: Sequence[FrameKey],
+    config: EvalConfig,
+) -> ViewResult:
+    """One view's frame matches, true positives, fp, fn, association sums and values, and scores.
+
+    ``keys`` are the view's frame memo keys, in frame order; a frame is
+    matched only where no earlier radius gave it the same key. The scores
+    are None for a view without points.
+    """
+    gt, frames, all_pairs = scene.gt, scene._frames, scene.pairs
+    row = []
+    v_tps: list[TpInstance] = []
+    hits: list[tuple[str, str]] = []  # IDF1's (gt id, pred id) frames
+    v_fp = v_fn = 0
+    for key in keys:
+        entry = frames.get(key)
+        if entry is None:
+            v, f, n_near, _ = key
+            gs, ps = gt.at(v, f), pred.at(v, f)
+            near = all_pairs.get((v, f), ())[:n_near]
+            m = match_frame(gs, ps, config, scene.dims, v, f, near)
+            # every pair within alpha is an IDF1 hit, matched or not
+            entry = frames[key] = (
+                m,
+                tuple((v, f, g, p, d) for g, p, d in m.tp_pairs),
+                tuple((gs[r].id, ps[c].id) for _, r, c in near),
+            )
+        m, frame_tps, frame_hits = entry
+        row.append(m)
+        v_tps.extend(frame_tps)
+        hits.extend(frame_hits)
+        v_fp += len(m.fp_ids)
+        v_fn += len(m.fn_ids)
+    v_tp = len(v_tps)
+    # a view's points are its tp + fn ground truth and tp + fp predictions
+    if v_tp + v_fp + v_fn == 0:
+        return row, v_tps, 0, 0, (0, 0, 0), [], None
+    # a true positive's terms depend only on its own view's true positives
+    # and the per-(view, id) frame counts
+    ass_terms = build_association_tally(scene.gt_frames, pred_frames, v_tps)
+    v_values = _jaccard_values(ass_terms)
+    v_ass = _mean(v_values, config.zero_tp_policy)
+    v_det_acc, _, _, v_f1 = detection_scores(v_tp, v_fp, v_fn)
+    v_idsw = count_id_switches(row)
+    scores = PerViewScores(
+        view=keys[0][0],
+        tp=v_tp,
+        fp=v_fp,
+        fn=v_fn,
+        idsw=v_idsw,
+        det_acc=v_det_acc,
+        ass_acc=v_ass,
+        f1=v_f1,
+        hota=hota(v_det_acc, v_ass),
+        mota=mota(v_tp + v_fn, v_fn, v_fp, v_idsw),
+        idf1=idf1(v_tp + v_fn, v_tp + v_fp, Counter(hits)),
+    )
+    return row, v_tps, v_fp, v_fn, _column_sums(ass_terms), v_values, scores
 
 
 def _evaluate_per_class(scene: Scene, config: EvalConfig) -> EvaluationResult:

@@ -76,6 +76,29 @@ def test_malformed_json_is_io_error(scene, tmp_path):
     assert "malformed" in result.stderr
 
 
+# a coordinate beyond float range, and an integer literal longer than the
+# interpreter converts (4,300 digits by default)
+HUGE_NUMBERS = {"overflow": "1" + "0" * 400, "too_many_digits": "1" + "0" * 5000}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validate"])
+@pytest.mark.parametrize("number", sorted(HUGE_NUMBERS))
+def test_a_number_that_does_not_fit_is_malformed_input(scene, tmp_path, command, number):
+    gt_path, pred_path = scene
+    bad = tmp_path / "bad.json"
+    # the first point's x becomes the number; its old value moves to a key no one reads
+    text = gt_path.read_text(encoding="utf-8")
+    bad.write_text(text.replace('"x": ', f'"x": {HUGE_NUMBERS[number]}, "_": ', 1), encoding="utf-8")
+    for args in (("--gt", str(bad), "--pred", str(pred_path)), ("--gt", str(gt_path), "--pred", str(bad))):
+        result = run_cli(command, *args)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        (line,) = result.stderr.splitlines()
+        assert line.startswith("error: ")
+    if number == "overflow":
+        assert line == "error: points[0].x: number does not fit a float"
+
+
 def test_unknown_flag_rejected(scene):
     gt_path, _ = scene
     result = run_cli("evaluate", "--gt", str(gt_path), "--pred", str(gt_path), "--wat")

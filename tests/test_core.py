@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+from mvteval import cli
 from mvteval.core import (
     Dataset,
     DatasetError,
+    EvalConfig,
     Point,
     Role,
     dataset_from_dict,
@@ -19,6 +24,8 @@ from mvteval.core import (
     serialize_dataset,
     validate_pair,
 )
+from mvteval.matching import assign_temporal_ids
+from mvteval.metrics import Scene, evaluate_detailed
 from mvteval.synth import SynthConfig, generate
 
 MINIMAL = {
@@ -237,3 +244,223 @@ def test_validate_does_not_mutate_inputs():
     before = (gt.points, pred.points)
     validate_pair(gt, pred)
     assert (gt.points, pred.points) == before
+
+
+def document(*points, **header):
+    """A one-view, two-frame 100 x 100 document with the given points and header overrides."""
+    doc = {"n_views": 1, "n_frames": 2, "image_width": 100, "image_height": 100}
+    doc.update(header)
+    doc["points"] = [
+        {"view": 0, "frame": 0, "x": 10, "y": 10, "id": "a", **point} for point in points
+    ]
+    return doc
+
+
+def without(key, **point):
+    """One point's fields with ``key`` left out."""
+    fields = {"view": 0, "frame": 0, "x": 10, "y": 10, "id": "a", **point}
+    del fields[key]
+    return fields
+
+
+# (document, role, the full message), one check per row and then documents
+# that fail more than one check, whose first error is the one reported
+GT, PRED = Role.GROUND_TRUTH, Role.PREDICTION
+PARSE_ERRORS = [
+    ([], GT, "$: top-level value must be an object"),
+    ({"n_views": 1}, GT, "$: missing required field 'points'"),
+    ({"points": {}}, GT, "points: points must be an array"),
+    (document(), GT, None),
+    ({**document(), "points": [3]}, GT, "points[0]: point must be an object"),
+    ({**document(), "points": [without("view")]}, GT, "points[0]: missing required field 'view'"),
+    (document({"view": True}), GT, "points[0].view: expected integer, got True"),
+    ({**document(), "points": [without("frame")]}, GT, "points[0]: missing required field 'frame'"),
+    (document({"frame": 1.0}), GT, "points[0].frame: expected integer, got 1.0"),
+    ({**document(), "points": [without("x")]}, GT, "points[0]: missing required field 'x'"),
+    (document({"x": "wat"}), GT, "points[0].x: expected number, got 'wat'"),
+    (document({"x": False}), GT, "points[0].x: expected number, got False"),
+    ({**document(), "points": [without("y")]}, GT, "points[0]: missing required field 'y'"),
+    (document({"y": None}), GT, "points[0].y: expected number, got None"),
+    (document({"id": 3}), GT, "points[0].id: expected string or null, got 3"),
+    (document({"class": ["a"]}), GT, "points[0].class: expected string or null, got ['a']"),
+    ({k: v for k, v in document().items() if k != "n_views"}, GT,
+     "$: missing required field 'n_views'"),
+    (document(n_frames="2"), GT, "n_frames: expected integer, got '2'"),
+    (document(image_width=100.0), GT, "image_width: expected integer, got 100.0"),
+    (document(image_height=True), GT, "image_height: expected integer, got True"),
+    (document(n_views=0), GT, "n_views: n_views must be >= 1"),
+    (document(n_frames=-1), GT, "n_frames: n_frames must be >= 1"),
+    (document(image_width=0), GT, "image_width: image dimensions must be positive"),
+    (document(image_height=-5), GT, "image_width: image dimensions must be positive"),
+    (document({"view": 1}), GT, "points[0].view: view 1 out of range"),
+    (document({"view": -1}), GT, "points[0].view: view -1 out of range"),
+    (document({"frame": 2}), GT, "points[0].frame: frame 2 out of range"),
+    (document({"x": 100.5}), GT, "points[0].x: x=100.5 outside image"),
+    (document({"x": -1}), GT, "points[0].x: x=-1.0 outside image"),
+    (document({"x": math.nan}), GT, "points[0].x: x=nan outside image"),
+    (document({"y": math.inf}), GT, "points[0].y: y=inf outside image"),
+    (document({"id": None}), GT, "points[0].id: ground-truth point without id"),
+    ({**document(), "points": [without("id")]}, GT, "points[0].id: ground-truth point without id"),
+    (document({"id": None}, {"id": None}), PRED, None),
+    (document({}, {"x": 20}), GT, "points[1].id: duplicate id 'a' in view 0, frame 0"),
+    (document({}, {"x": 20}), PRED, "points[1].id: duplicate id 'a' in view 0, frame 0"),
+    (document({}, {"frame": 1}, {"id": "b"}), GT, None),
+    # a type error comes before every other error, even of an earlier point
+    (document({"x": 500}, {"view": "0"}), GT, "points[1].view: expected integer, got '0'"),
+    (document({"id": None}, {"y": "1"}, n_views="1"), GT, "points[1].y: expected number, got '1'"),
+    (document({}, {"x": 20}, {"class": 1}), GT, "points[2].class: expected string or null, got 1"),
+    # then the header, in field order, even where a point is out of range
+    (document({"view": 7}, n_views="2"), GT, "n_views: expected integer, got '2'"),
+    (document({"view": 7}, n_frames=None, image_width="w"), GT,
+     "n_frames: expected integer, got None"),
+    (document(n_views=0, image_height="h"), GT, "image_height: expected integer, got 'h'"),
+    # then the geometry, in field order, even where a point is out of range
+    (document({"view": 3}, n_views=0), GT, "n_views: n_views must be >= 1"),
+    (document({"x": 500}, n_frames=0, image_width=0), GT, "n_frames: n_frames must be >= 1"),
+    (document({"id": None}, image_width=0), GT, "image_width: image dimensions must be positive"),
+    # then the first point out of range, without an id or with a repeated id
+    (document({"x": 500, "view": 2}), GT, "points[0].view: view 2 out of range"),
+    (document({"x": 500, "frame": 5}), GT, "points[0].frame: frame 5 out of range"),
+    (document({"x": 500, "y": 500, "id": None}), GT, "points[0].x: x=500.0 outside image"),
+    (document({"y": 500, "id": None}), GT, "points[0].y: y=500.0 outside image"),
+    (document({"x": 500}, {"view": 9}), GT, "points[0].x: x=500.0 outside image"),
+    (document({"id": None}, {"x": 500}), GT, "points[0].id: ground-truth point without id"),
+    (document({}, {}, {"x": 500}), GT, "points[1].id: duplicate id 'a' in view 0, frame 0"),
+    (document({}, {"x": 500}, {}), GT, "points[1].x: x=500.0 outside image"),
+]
+
+
+@pytest.mark.parametrize("doc, role, message", PARSE_ERRORS)
+def test_each_parse_error_is_reported_in_full_and_in_order(doc, role, message):
+    """The library and the JSON reader report the same first error, word for word."""
+    text = json.dumps(doc)
+    if message is None:
+        assert dataset_from_dict(doc, role) == parse_dataset(io.StringIO(text), role)
+        return
+    for parse in (lambda: dataset_from_dict(doc, role), lambda: parse_dataset(io.StringIO(text), role)):
+        with pytest.raises(DatasetError) as err:
+            parse()
+        assert str(err.value) == message
+
+
+def test_malformed_json_is_reported_with_its_line_and_column():
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(io.StringIO('{\n  "n_views": 1,,\n}'), Role.GROUND_TRUTH)
+    assert str(err.value) == "line 2, column 16: malformed JSON: Expecting property name enclosed in double quotes"
+
+
+def test_an_integer_beyond_float_range_is_a_parse_error():
+    doc = document({"y": 10**400})
+    with pytest.raises(DatasetError) as err:
+        dataset_from_dict(doc, Role.GROUND_TRUTH)
+    assert str(err.value) == "points[0].y: number does not fit a float"
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(io.StringIO(json.dumps(doc)), Role.GROUND_TRUTH)
+    assert str(err.value) == "points[0].y: number does not fit a float"
+    # a type error of an earlier field of the same point still comes first
+    with pytest.raises(DatasetError, match=r"^points\[0\]\.frame: expected integer"):
+        dataset_from_dict(document({"frame": "0", "x": 10**400}), Role.GROUND_TRUTH)
+
+
+def test_an_integer_literal_too_long_to_convert_is_a_parse_error():
+    text = json.dumps(document({})).replace('"x": 10', '"x": 1' + "0" * 5000)
+    with pytest.raises(DatasetError) as err:
+        parse_dataset(io.StringIO(text), Role.GROUND_TRUTH)
+    # the literal either exceeds the interpreter's digit limit or, without
+    # one, parses into an integer beyond float range
+    assert str(err.value).startswith(("malformed JSON: ", "points[0].x: "))
+
+
+# ---------------------------------------------------------------------------
+# the slotted point and the datasets built without re-running the checks
+
+
+def test_a_point_is_slotted_frozen_and_round_trips():
+    p = Point(view=1, frame=2, x=3.5, y=4.0, id="a", class_label="c")
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        p.x = 0.0
+    with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+        p.extra = 1
+    moved = replace(p, x=5.0)
+    assert moved == Point(1, 2, 5.0, 4.0, "a", "c") and p.x == 3.5
+    assert hash(replace(moved, x=3.5)) == hash(p) and replace(moved, x=3.5) == p
+    assert len({p, replace(p), moved}) == 2
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(p, protocol)) == p
+    assert copy.copy(p) == p and copy.deepcopy(p) == p
+    assert copy.deepcopy(Point(0, 0, 1.0, 1.0)) == Point(0, 0, 1.0, 1.0)
+
+
+def assert_same_as_validated(dataset):
+    """``dataset`` equals a ``Dataset`` validated from the same points, index and all."""
+    fresh = Dataset(
+        n_views=dataset.n_views,
+        n_frames=dataset.n_frames,
+        image_width=dataset.image_width,
+        image_height=dataset.image_height,
+        points=dataset.points,
+        role=dataset.role,
+    )
+    assert dataset == fresh
+    assert dataset._by_frame == fresh._by_frame
+    for view in range(dataset.n_views):
+        for frame in range(dataset.n_frames):
+            assert dataset.at(view, frame) == fresh.at(view, frame)
+
+
+def labelled_pair(seed):
+    gt, pred = generate(
+        SynthConfig(
+            n_views=3, n_frames=6, n_points=5, view_drop_prob=0.2, pred_noise_sigma=1.5,
+            pred_fp_rate=0.5, pred_miss_rate=0.2, id_switch_prob=0.1, seed=seed,
+        )
+    )
+    labels = ("a", "b", None)
+    return tuple(
+        ds.with_points(replace(p, class_label=labels[i % 3]) for i, p in enumerate(ds.points))
+        for ds in (gt, pred)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parsed_and_relabelled_datasets_equal_validated_ones(seed):
+    gt, pred = labelled_pair(seed)
+    for ds, role in ((gt, Role.GROUND_TRUTH), (pred, Role.PREDICTION)):
+        assert_same_as_validated(dataset_from_dict(ds.to_dict(), role))
+    assert_same_as_validated(remap_gt_ids(gt)[0])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_linked_and_per_class_datasets_equal_validated_ones(seed):
+    gt, pred = labelled_pair(seed)
+    # every id dropped, and every other one, so minted ids meet kept ones
+    for stripped in (
+        pred.with_points(replace(p, id=None) for p in pred.points),
+        pred.with_points(replace(p, id=None) if i % 2 else p for i, p in enumerate(pred.points)),
+    ):
+        for alpha in (2.0, 6.0, 40.0):
+            assert_same_as_validated(assign_temporal_ids(stripped, EvalConfig(alpha=alpha)))
+    for key, sub in Scene(gt, pred, 6.0).classes:
+        assert_same_as_validated(sub.gt)
+        assert_same_as_validated(sub.pred)
+        assert {p.class_label for p in sub.gt.points + sub.pred.points} <= {key, None}
+
+
+def test_assign_ids_strips_every_id_into_a_valid_dataset(tmp_path, monkeypatch):
+    gt, pred = labelled_pair(1)
+    serialize_dataset(gt, tmp_path / "gt.json")
+    serialize_dataset(pred, tmp_path / "pred.json")
+    seen = []
+
+    def capture(gt, pred, config, scene):
+        seen.append(pred)
+        return evaluate_detailed(gt, pred, config, scene=scene)
+
+    monkeypatch.setattr(cli, "evaluate_detailed", capture)
+    args = ["evaluate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")]
+    assert cli.main([*args, "--assign-ids", "--output", str(tmp_path / "out.txt")]) == 0
+    (stripped,) = seen
+    assert [p.id for p in stripped.points] == [None] * len(pred.points)
+    assert [replace(p, id=q.id) for p, q in zip(stripped.points, pred.points)] == list(pred.points)
+    assert_same_as_validated(stripped)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvteval import cli, metrics
-from mvteval.core import EvalConfig, Point, Role, parse_dataset, serialize_dataset
+from mvteval.core import Dataset, EvalConfig, Point, Role, parse_dataset, serialize_dataset
 from mvteval.metrics import Scene, evaluate, evaluate_detailed
 from mvteval.synth import SynthConfig, generate
 
@@ -198,3 +198,36 @@ def test_scene_must_belong_to_the_pair_and_cover_the_radius():
         evaluate_detailed(other_gt, pred, EvalConfig(alpha=6.0), scene=scene)
     with pytest.raises(ValueError, match="order"):
         Scene(pred, gt, 6.0)
+
+
+@pytest.mark.parametrize("per_class", [False, True])
+@pytest.mark.parametrize("strip_ids", [False, True])
+def test_a_repeated_radius_scores_no_view_again(monkeypatch, per_class, strip_ids):
+    gt, pred = scene_pair(per_class, strip_ids)
+    radii = (6.0, 2.0, 6.0, 12.0, 2.0)
+    scene = Scene(gt, pred, max(radii))
+    calls = count_calls(monkeypatch, metrics, "idf1", "build_association_tally")
+    shared, counts = [], []
+    for alpha in radii:
+        shared.append(evaluate_detailed(gt, pred, EvalConfig(alpha, per_class), scene=scene))
+        counts.append(dict(calls))
+    assert counts[0]["idf1"] > 0 and counts[0]["build_association_tally"] > 0
+    # the second visits of 6 and 2 find every view already scored
+    assert counts[2] == counts[1] and counts[4] == counts[3]
+    for alpha, result in zip(radii, shared):
+        assert result == evaluate_detailed(gt, pred, EvalConfig(alpha, per_class))
+
+
+def test_a_view_scored_under_one_zero_tp_policy_is_not_reused_under_another():
+    # view 0 has a true positive, view 1 a miss and a far false positive
+    points = [Point(0, 0, 10.0, 10.0, "g"), Point(1, 0, 10.0, 10.0, "g")]
+    gt = Dataset(2, 1, 64, 48, tuple(points), Role.GROUND_TRUTH)
+    pred = Dataset(
+        2, 1, 64, 48, (Point(0, 0, 11.0, 10.0, "p"), Point(1, 0, 50.0, 40.0, "p")), Role.PREDICTION
+    )
+    scene = Scene(gt, pred, 6.0)
+    for policy in (0.0, 1.0, 0.25, 0.0):
+        config = EvalConfig(alpha=6.0, zero_tp_policy=policy)
+        shared = evaluate_detailed(gt, pred, config, scene=scene)
+        assert shared == evaluate_detailed(gt, pred, config)
+        assert [view.ass_acc for view in shared.report.per_view] == [1.0, policy]
