@@ -255,6 +255,14 @@ def _check_geometry(n_views: int, n_frames: int, image_width: int, image_height:
         raise DatasetError("n_frames must be >= 1", "n_frames")
     if image_width <= 0 or image_height <= 0:
         raise DatasetError("image dimensions must be positive", "image_width")
+    # matching prices a cell at the image diagonal, a float
+    for key, value in (("image_width", image_width), ("image_height", image_height)):
+        try:
+            float(value)
+        except OverflowError:  # an integer beyond float range; too long to quote
+            raise DatasetError("number does not fit a float", key) from None
+    if math.isinf(math.hypot(image_width, image_height)):
+        raise DatasetError("image diagonal does not fit a float", "image_width")
 
 
 def _index(
@@ -361,19 +369,23 @@ def _read_points(raw_points: list) -> Iterable[Point]:
 
 def parse_dataset(source: str | Path | IO[str], role: Role) -> Dataset:
     """Parse a dataset file (or open stream) and validate every invariant."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source.read()
     try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = source.read()
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(
             f"malformed JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except UnicodeDecodeError as exc:  # its offset counts from the decoded chunk, not the file
+        raise DatasetError(f"not UTF-8 text: {exc.reason}") from exc
     except ValueError as exc:  # an integer literal longer than the interpreter converts
         raise DatasetError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DatasetError("malformed JSON: nested too deeply") from exc
     return dataset_from_dict(data, role)
 
 

@@ -18,11 +18,17 @@ a point, those pairs are in every optimum and every other cell costs
 exactly the bound, so ``solve_assignment`` writes the canonical
 assignment down from the pairs alone, without building a matrix (see its
 docstring for the argument).
+
+Both kernels are exact. ``near_pairs`` tests only the points in an x-sorted
+band around each row, and ``_hungarian`` scans only the columns not yet on
+its augmenting path. Each returns, bit for bit, what testing every pair and
+scanning every column return (``tests/oracles.py`` keeps both plain loops).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import fsum
 from typing import Sequence
@@ -52,13 +58,40 @@ def near_pairs(
 
     Pairs come in row-major order. The distance is
     ``math.hypot(a.x - b.x, a.y - b.y)``, the cost of assigning the pair.
+
+    ``points_b`` is sorted by x once, and each row tests only the points
+    whose x lies in the band ``[ax - reach, ax + reach]``, where ``reach =
+    alpha + (alpha + |ax|) * 1e-9``. No pair is lost. The widening is many
+    orders of magnitude above the rounding of the band's edges, including
+    that of an integer x beyond 2**53, which the edges round and the
+    difference does not. So a point outside the band has ``|fl(ax - bx)|
+    >= alpha``. ``math.hypot`` (error under 1 ulp since CPython 3.10) never
+    returns less than its larger argument, so that point's distance is not
+    below ``alpha`` either. The x coordinates of ``points_b`` must not be
+    NaN, which no dataset holds.
     """
     pairs = []
+    order = sorted([(b.x, c, b.y) for c, b in enumerate(points_b)])
+    xs = [t[0] for t in order]
+    hypot = math.hypot
     for r, a in enumerate(points_a):
         ax, ay = a.x, a.y
-        for c, b in enumerate(points_b):
-            d = math.hypot(ax - b.x, ay - b.y)
+        reach = alpha + (alpha + abs(ax)) * 1e-9
+        lo = bisect_left(xs, ax - reach)
+        hi = bisect_right(xs, ax + reach, lo)
+        if hi - lo == 1:
+            bx, c, by = order[lo]
+            d = hypot(ax - bx, ay - by)
             if d < alpha:
+                pairs.append((d, r, c))
+        elif hi > lo:
+            hits = []
+            for bx, c, by in order[lo:hi]:
+                d = hypot(ax - bx, ay - by)
+                if d < alpha:
+                    hits.append((c, d))
+            hits.sort()
+            for c, d in hits:
                 pairs.append((d, r, c))
     return pairs
 
@@ -82,10 +115,11 @@ def _hungarian(
         return [], {}, {}
     transposed = n > m
     if transposed:
-        a = [[cost[r][c] for r in rows] for c in cols]
+        a = [[0.0, *[cost[r][c] for r in rows]] for c in cols]
         n, m = m, n
     else:
-        a = [[cost[r][c] for c in cols] for r in rows]
+        a = [[0.0, *[cost[r][c] for c in cols]] for r in rows]
+    # each row is padded with a leading 0.0, so column j is a[i - 1][j]
 
     inf = math.inf
     u = [0.0] * (n + 1)
@@ -96,31 +130,41 @@ def _hungarian(
         match[0] = i
         j0 = 0
         minv = [inf] * (m + 1)
-        used = [False] * (m + 1)
+        free = list(range(1, m + 1))  # columns not on the path, ascending
+        used = [0]
         while True:
-            used[j0] = True
             i0 = match[j0]
+            row = a[i0 - 1]
+            ui = u[i0]
             delta = inf
             j1 = 0
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = a[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
+            for j in free:
+                cur = row[j] - ui - v[j]
+                mj = minv[j]
+                if cur < mj:
                     minv[j] = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                    if cur < delta:
+                        delta = cur
+                        j1 = j
+                elif mj < delta:
+                    delta = mj
                     j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
+            for j in used:
+                u[match[j]] += delta
+                v[j] -= delta
+            # x - 0.0 == x. A delta of -0.0 would turn a -0.0 in minv into
+            # +0.0, but minv reaches u and v only as a delta, and adding
+            # either zero leaves them as they are: they start at +0.0, and a
+            # sum or difference is -0.0 only if an operand already is
+            if delta != 0.0:
+                for j in free:
                     minv[j] -= delta
             j0 = j1
             if match[j0] == 0:
                 break
+            free.remove(j0)
+            used.append(j0)
         while j0:
             j1 = way[j0]
             match[j0] = match[j1]

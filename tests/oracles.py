@@ -87,6 +87,94 @@ def thresholded_matrix(n, m, pairs, image_dims):
 
 
 # ---------------------------------------------------------------------------
+# the plain loops that the fast matching kernels must reproduce bit for bit
+
+
+def near_pairs_oracle(points_a, points_b, alpha):
+    """Every pair closer than ``alpha`` by testing all of them, in row-major order."""
+    pairs = []
+    for r, a in enumerate(points_a):
+        ax, ay = a.x, a.y
+        for c, b in enumerate(points_b):
+            d = math.hypot(ax - b.x, ay - b.y)
+            if d < alpha:
+                pairs.append((d, r, c))
+    return pairs
+
+
+def hungarian_reference(cost, rows, cols):
+    """The shortest augmenting path solver scanning every column on each step.
+
+    Same contract as ``matching._hungarian``: (pairs sorted by row, row
+    potentials, column potentials) on the submatrix ``rows`` x ``cols``.
+    """
+    n, m = len(rows), len(cols)
+    if n == 0 or m == 0:
+        return [], {}, {}
+    transposed = n > m
+    if transposed:
+        a = [[cost[r][c] for r in rows] for c in cols]
+        n, m = m, n
+    else:
+        a = [[cost[r][c] for c in cols] for r in rows]
+
+    inf = math.inf
+    u = [0.0] * (n + 1)
+    v = [0.0] * (m + 1)
+    match = [0] * (m + 1)  # 1-based row matched to each column, 0 = free
+    way = [0] * (m + 1)
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = [inf] * (m + 1)
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = inf
+            j1 = 0
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                cur = a[i0 - 1][j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+
+    pairs = []
+    for j in range(1, m + 1):
+        if match[j]:
+            if transposed:
+                pairs.append((rows[j - 1], cols[match[j] - 1]))
+            else:
+                pairs.append((rows[match[j] - 1], cols[j - 1]))
+    pairs.sort()
+    if transposed:
+        row_pot = {r: v[j] for j, r in enumerate(rows, 1)}
+        col_pot = {c: u[i] for i, c in enumerate(cols, 1)}
+    else:
+        row_pot = {r: u[i] for i, r in enumerate(rows, 1)}
+        col_pot = {c: v[j] for j, c in enumerate(cols, 1)}
+    return pairs, row_pot, col_pot
+
+
+# ---------------------------------------------------------------------------
 # frame matching oracle
 
 

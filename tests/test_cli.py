@@ -99,6 +99,33 @@ def test_a_number_that_does_not_fit_is_malformed_input(scene, tmp_path, command,
         assert line == "error: points[0].x: number does not fit a float"
 
 
+# input that fails before any field is read, and a header size beyond float
+# range, each with the one error line it gives
+UNREADABLE = {
+    "not_utf8": (b"\xff\xfe{", "error: not UTF-8 text: invalid start byte"),
+    "too_deep": (b"[" * 200_000 + b"]" * 200_000, "error: malformed JSON: nested too deeply"),
+    "huge_width": (None, "error: image_width: number does not fit a float"),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "validate"])
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_is_malformed_input(scene, tmp_path, command, case):
+    gt_path, pred_path = scene
+    content, message = UNREADABLE[case]
+    if content is None:
+        text = gt_path.read_text(encoding="utf-8")
+        content = text.replace('"image_width": ', '"image_width": 1' + "0" * 400 + ', "_": ', 1)
+        content = content.encode("utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for args in (("--gt", str(bad), "--pred", str(pred_path)), ("--gt", str(gt_path), "--pred", str(bad))):
+        result = run_cli(command, *args)
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [message]
+
+
 def test_unknown_flag_rejected(scene):
     gt_path, _ = scene
     result = run_cli("evaluate", "--gt", str(gt_path), "--pred", str(gt_path), "--wat")

@@ -327,6 +327,20 @@ PARSE_ERRORS = [
     (document({"id": None}, {"x": 500}), GT, "points[0].id: ground-truth point without id"),
     (document({}, {}, {"x": 500}), GT, "points[1].id: duplicate id 'a' in view 0, frame 0"),
     (document({}, {"x": 500}, {}), GT, "points[1].x: x=500.0 outside image"),
+    # an image size or diagonal beyond float range, checked last of the
+    # geometry and still before any point's range
+    (document(image_width=10**400), GT, "image_width: number does not fit a float"),
+    (document(image_height=10**400), GT, "image_height: number does not fit a float"),
+    (document(image_width=10**400, image_height=10**400), GT,
+     "image_width: number does not fit a float"),
+    (document(image_width=int(1.7e308), image_height=int(1.7e308)), GT,
+     "image_width: image diagonal does not fit a float"),
+    (document(image_width=int(1.7e308), image_height=1), GT, None),
+    (document({"view": 3}, image_height=10**400), GT, "image_height: number does not fit a float"),
+    (document({"x": "a"}, image_width=10**400), GT, "points[0].x: expected number, got 'a'"),
+    (document(n_frames=0, image_width=10**400), GT, "n_frames: n_frames must be >= 1"),
+    (document(image_width=-1, image_height=10**400), GT,
+     "image_width: image dimensions must be positive"),
 ]
 
 
@@ -360,6 +374,23 @@ def test_an_integer_beyond_float_range_is_a_parse_error():
     # a type error of an earlier field of the same point still comes first
     with pytest.raises(DatasetError, match=r"^points\[0\]\.frame: expected integer"):
         dataset_from_dict(document({"frame": "0", "x": 10**400}), Role.GROUND_TRUTH)
+
+
+@pytest.mark.parametrize(
+    "width, height, message",
+    [
+        (10**400, 10, "image_width: number does not fit a float"),
+        (10, 10**400, "image_height: number does not fit a float"),
+        (int(1.7e308), int(1.7e308), "image_width: image diagonal does not fit a float"),
+    ],
+)
+def test_a_dataset_rejects_an_image_beyond_float_range(width, height, message):
+    with pytest.raises(DatasetError) as err:
+        Dataset(
+            n_views=1, n_frames=1, image_width=width, image_height=height, points=(),
+            role=Role.GROUND_TRUTH,
+        )
+    assert str(err.value) == message
 
 
 def test_an_integer_literal_too_long_to_convert_is_a_parse_error():

@@ -23,7 +23,9 @@ from mvteval.matching import (
 from mvteval.synth import SynthConfig, generate
 from oracles import (
     all_optimal_assignments,
+    hungarian_reference,
     min_cost_assignment_by_permutations,
+    near_pairs_oracle,
     thresholded_matrix,
 )
 
@@ -315,6 +317,85 @@ def test_solver_tie_between_bound_and_real_pairs():
     bound = math.sqrt(20000)
     mat = ((bound, 3.0, bound), (bound, 3.0, bound))
     assert minimize_cost(mat) == ((0, 0), (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# the fast kernels against the plain loops
+
+
+def float_bits(values):
+    """Keys and values with each float written exactly, sign of zero included."""
+    return [(key, value.hex()) for key, value in values]
+
+
+@st.composite
+def band_edge_points(draw):
+    """(points_a, points_b, alpha) with x offsets on and one ulp beside ``±alpha``.
+
+    Coordinates reach 1e15 with radii down to 0.5, integers run past 2**53
+    (a point may hold one; its float conversion rounds), radii run past the
+    100 x 100 diagonal, x values repeat, and either side may be empty.
+    """
+    alpha = draw(st.one_of(st.sampled_from([0.5, 1.5, 6.0, 150.0]), st.floats(1e-3, 1e3)))
+    coord = draw(
+        st.sampled_from([
+            st.floats(0, 100),
+            st.floats(-1e15, 1e15),
+            st.integers(2**53 - 500, 2**53 + 500),
+            st.integers(2**60 - 500, 2**60 + 500),
+        ])
+    )
+    anchors = draw(st.lists(coord, min_size=1, max_size=4))
+
+    def x():
+        ax = draw(st.sampled_from(anchors))
+        kind = draw(st.sampled_from(["anchor", "edge", "edge", "free"]))
+        if kind == "anchor":
+            return ax
+        if kind == "free":
+            return draw(coord)
+        edge = ax + draw(st.sampled_from([alpha, -alpha]))
+        return draw(st.sampled_from([edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)]))
+
+    # y values mostly equal, so the distance is the x offset itself
+    y = st.one_of(st.sampled_from([0.0, 5e-324, 1e-9, 1.0]), st.floats(0, 100))
+    points_a = [pt(x(), draw(y)) for _ in range(draw(st.integers(0, 8)))]
+    points_b = [pt(x(), draw(y)) for _ in range(draw(st.integers(0, 8)))]
+    return points_a, points_b, alpha
+
+
+@given(band_edge_points())
+@settings(max_examples=600, deadline=None)
+def test_near_pairs_equals_the_double_loop(case):
+    got, want = near_pairs(*case), near_pairs_oracle(*case)
+    assert [(r, c, d.hex()) for d, r, c in got] == [(r, c, d.hex()) for d, r, c in want]
+
+
+@st.composite
+def cost_submatrices(draw):
+    """(cost, rows, cols): a matrix, tie-heavy or not, and the submatrix to solve.
+
+    Tie-heavy matrices hold many cells at the 100 x 100 bound, equal small
+    costs and both zeros; either side may be the longer one.
+    """
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    bound = math.hypot(*DIMS)
+    ties = st.sampled_from([0.0, -0.0, 1.0, 2.0, bound, bound, bound])
+    cell = draw(st.sampled_from([ties, st.one_of(ties, st.floats(-1e3, 1e3))]))
+    cost = [[draw(cell) for _ in range(m)] for _ in range(n)]
+    rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    cols = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    return cost, rows, cols
+
+
+@given(cost_submatrices())
+@settings(max_examples=600, deadline=None)
+def test_hungarian_equals_the_full_column_scan(case):
+    pairs, row_pot, col_pot = matching._hungarian(*case)
+    want_pairs, want_row, want_col = hungarian_reference(*case)
+    assert pairs == want_pairs
+    assert float_bits(row_pot.items()) == float_bits(want_row.items())
+    assert float_bits(col_pot.items()) == float_bits(want_col.items())
 
 
 # ---------------------------------------------------------------------------
