@@ -150,14 +150,15 @@ def _hungarian(
                 elif mj < delta:
                     delta = mj
                     j1 = j
-            for j in used:
-                u[match[j]] += delta
-                v[j] -= delta
-            # x - 0.0 == x. A delta of -0.0 would turn a -0.0 in minv into
-            # +0.0, but minv reaches u and v only as a delta, and adding
-            # either zero leaves them as they are: they start at +0.0, and a
-            # sum or difference is -0.0 only if an operand already is
+            # A zero delta changes nothing. u and v start at +0.0 and never
+            # hold -0.0, as a sum or difference is -0.0 only if an operand
+            # already is, so adding either zero leaves them as they are. A
+            # -0.0 delta would turn a -0.0 in minv into +0.0, but the two
+            # compare equal, and minv reaches u and v only as a delta
             if delta != 0.0:
+                for j in used:
+                    u[match[j]] += delta
+                    v[j] -= delta
                 for j in free:
                     minv[j] -= delta
             j0 = j1

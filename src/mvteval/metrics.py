@@ -27,18 +27,12 @@ from .matching import (
     near_pairs,
 )
 
-# One matched true positive: (view, frame, gt id, pred id, distance).
-TpInstance = tuple[int, int, str, str, float]
 # One frame memo key: (view, frame, number of pairs within the radius, the
 # frame's prediction ids where they were linked, else None).
 FrameKey = tuple[int, int, int, "tuple[str, ...] | None"]
-# One view's result: its frame matches, true positives, fp, fn, association
-# (TPA, FNA, FPA) sums and per-TP values, and its scores (None for a view
-# without points).
-ViewResult = tuple[
-    list["FrameMatch"], list[TpInstance], int, int, tuple[int, int, int], list[float],
-    "PerViewScores | None",
-]
+# One view's result: its frame matches, association (TPA, FNA, FPA) sums and
+# per-TP values, and its scores (None for a view without points).
+ViewResult = tuple[list[FrameMatch], tuple[int, int, int], list[float], "PerViewScores | None"]
 
 
 @dataclass(frozen=True)
@@ -201,9 +195,9 @@ def detection_scores(tp: int, fp: int, fn: int) -> tuple[float, float, float, fl
 def build_association_tally(
     gt_frames: Counter[tuple[int, str | None]],
     pred_frames: Counter[tuple[int, str | None]],
-    tp_instances: Sequence[TpInstance],
+    matches: Sequence[FrameMatch],
 ) -> list[tuple[int, int, int]]:
-    """(TPA, FNA, FPA) of each true positive, in the order given.
+    """(TPA, FNA, FPA) of each true positive of ``matches``, in match order.
 
     For a true positive c = (view, gt, pred), the frames of that view where
     the same pair is matched are its TPA; the other frames where the
@@ -212,13 +206,13 @@ def build_association_tally(
     ``frame_counts`` of the datasets the true positives were matched on
     (predictions already carrying ids).
     """
-    pair_frames = Counter((v, g, p) for v, _, g, p, _ in tp_instances)
+    pair_frames = Counter((m.view, g, p) for m in matches for g, p, _ in m.tp_pairs)
     # every true positive of one (view, gt, pred) pair has the same terms
     pair_terms = {
         (v, g, p): (tpa, gt_frames[v, g] - tpa, pred_frames[v, p] - tpa)
         for (v, g, p), tpa in pair_frames.items()
     }
-    return [pair_terms[v, g, p] for v, _, g, p, _ in tp_instances]
+    return [pair_terms[m.view, g, p] for m in matches for g, p, _ in m.tp_pairs]
 
 
 def _jaccard_values(terms: Sequence[tuple[int, int, int]]) -> list[float]:
@@ -261,13 +255,14 @@ def view_masks(dataset: Dataset) -> dict[tuple[int, str | None], int]:
 
 
 def classify_correspondence(
-    tp_instances: Sequence[TpInstance],
+    matches: Sequence[FrameMatch],
     gt_views: dict[tuple[int, str | None], int],
     pred_views: dict[tuple[int, str | None], int],
     n_views: int,
 ) -> list[tuple[int, int, int]]:
-    """(TPC, FPC, FNC) of each true positive, against every other view of its frame.
+    """(TPC, FPC, FNC) of each true positive of ``matches``, in match order.
 
+    Each true positive is classified against every other view of its frame.
     Where the same physical point is annotated in the other view, a
     matched detection there is a true correspondence and a missing one a
     false negative correspondence. Where it is not annotated, the
@@ -285,21 +280,23 @@ def classify_correspondence(
     TPC takes the rest.
     """
     # (frame, gt id) -> the number of views where that point was matched
-    matched = Counter((f, g) for _, f, g, _, _ in tp_instances)
+    matched = Counter((m.frame, g) for m in matches for g, _, _ in m.tp_pairs)
     n_others = n_views - 1
     # the triple does not depend on the view, so each (frame, gt id,
     # pred id) is classified once
     triples: dict[tuple[int, str, str], tuple[int, int, int]] = {}
     terms = []
-    for _, f, g, p, _ in tp_instances:
-        key = (f, g, p)
-        triple = triples.get(key)
-        if triple is None:
-            annotated = gt_views[f, g]
-            fnc = annotated.bit_count() - matched[f, g]
-            fpc = (pred_views[f, p] & ~annotated).bit_count()
-            triple = triples[key] = (n_others - fpc - fnc, fpc, fnc)
-        terms.append(triple)
+    for m in matches:
+        f = m.frame
+        for g, p, _ in m.tp_pairs:
+            key = (f, g, p)
+            triple = triples.get(key)
+            if triple is None:
+                annotated = gt_views[f, g]
+                fnc = annotated.bit_count() - matched[f, g]
+                fpc = (pred_views[f, p] & ~annotated).bit_count()
+                triple = triples[key] = (n_others - fpc - fnc, fpc, fnc)
+            terms.append(triple)
     return terms
 
 
@@ -430,13 +427,13 @@ class Scene:
     Each part is built on first use. The scene also keeps two memos of
     results already computed. The frame memo: a frame whose within-radius
     pairs and prediction ids are those of a radius already scored gets
-    that radius's match back, with its true positives and its IDF1 hits.
-    The row memo: a view whose frame keys, in frame order, and
+    back that radius's result: each frame's match and its IDF1 hits. The
+    row memo: a view whose frame keys, in frame order, and
     ``zero_tp_policy`` are those of a radius already scored gets that
-    view's whole result back (its matches, true positives, fp and fn,
-    association sums and values, and per-view scores), so its
-    association, id switches and IDF1 are not computed again. Results are
-    the same with a shared scene and without one.
+    view's whole result back (its matches, association sums and values,
+    and per-view scores), so its association, id switches and IDF1 are not
+    computed again. Results are the same with a shared scene and without
+    one.
     """
 
     def __init__(self, gt: Dataset, pred: Dataset, radius: float):
@@ -452,11 +449,8 @@ class Scene:
         self.dims = (gt.image_width, gt.image_height)
         self.n_views = max(gt.n_views, pred.n_views)
         self.n_frames = max(gt.n_frames, pred.n_frames)
-        # frame key -> (the frame's match, its true positives, its IDF1
-        # (gt id, pred id) hits)
-        self._frames: dict[
-            FrameKey, tuple[FrameMatch, tuple[TpInstance, ...], tuple[tuple[str, str], ...]]
-        ] = {}
+        # frame key -> (the frame's match, its IDF1 (gt id, pred id) hits)
+        self._frames: dict[FrameKey, tuple[FrameMatch, tuple[tuple[str, str], ...]]] = {}
         # (zero_tp_policy, one view's frame keys in frame order) -> the
         # view's result
         self._views: dict[tuple[float, tuple[FrameKey, ...]], ViewResult] = {}
@@ -540,7 +534,7 @@ def evaluate_detailed(
     Pipeline: link prediction ids where any is missing; then each view's
     frames are matched on the ground truth's own ids and the view is
     scored, unless the scene already holds that view's result;
-    correspondence, which needs every view's true positives, comes last.
+    correspondence, which needs every view's matches, comes last.
     Deterministic for a given input pair and config. ``scene``, a ``Scene``
     of this same pair with a radius of at least ``config.alpha``, only
     skips work done for another radius; a call without one builds its own.
@@ -571,10 +565,9 @@ def evaluate_detailed(
     # pooled in (view, frame) order; the pooled association mean and each
     # view's are exactly rounded sums over the same per-TP values
     matches: list[FrameMatch] = []
-    tp_instances: list[TpInstance] = []
+    ass_sums: list[tuple[int, int, int]] = []
     ass_values: list[float] = []
     per_view: list[PerViewScores] = []
-    fp = fn = tpa = fna = fpa = 0
     views, all_pairs = scene._views, scene.pairs
     for v in range(n_views):
         keys = []
@@ -585,22 +578,22 @@ def evaluate_detailed(
         entry = views.get(key)
         if entry is None:
             entry = views[key] = _score_view(scene, pred, pred_frames, keys, config)
-        row, v_tps, v_fp, v_fn, (v_tpa, v_fna, v_fpa), v_values, scores = entry
+        row, v_sums, v_values, scores = entry
         matches.extend(row)
-        tp_instances.extend(v_tps)
+        ass_sums.append(v_sums)
         ass_values.extend(v_values)
-        fp, fn = fp + v_fp, fn + v_fn
-        tpa, fna, fpa = tpa + v_tpa, fna + v_fna, fpa + v_fpa
         if scores is not None:
             per_view.append(scores)
 
-    tp = len(tp_instances)
+    # a view without points adds no tp, fp or fn
+    tp, fp, fn = _column_sums([(view.tp, view.fp, view.fn) for view in per_view])
+    tpa, fna, fpa = _column_sums(ass_sums)
     det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
     ass = _mean(ass_values, policy)
-    corres_terms = classify_correspondence(tp_instances, scene.gt_views, pred_views, n_views)
+    corres_terms = classify_correspondence(matches, scene.gt_views, pred_views, n_views)
     tpc, fpc, fnc = _column_sums(corres_terms)
     corres = _mean(_jaccard_values(corres_terms), policy)
-    loc_acc = _mean([d for _, _, _, _, d in tp_instances], 0.0)
+    loc_acc = _mean([d for m in matches for _, _, d in m.tp_pairs], 0.0)
 
     report = MetricReport(
         alpha=alpha,
@@ -649,7 +642,7 @@ def _score_view(
     keys: Sequence[FrameKey],
     config: EvalConfig,
 ) -> ViewResult:
-    """One view's frame matches, true positives, fp, fn, association sums and values, and scores.
+    """One view's frame matches, association sums and values, and scores.
 
     ``keys`` are the view's frame memo keys, in frame order; a frame is
     matched only where no earlier radius gave it the same key. The scores
@@ -657,9 +650,8 @@ def _score_view(
     """
     gt, frames, all_pairs = scene.gt, scene._frames, scene.pairs
     row = []
-    v_tps: list[TpInstance] = []
     hits: list[tuple[str, str]] = []  # IDF1's (gt id, pred id) frames
-    v_fp = v_fn = 0
+    v_tp = v_fp = v_fn = 0
     for key in keys:
         entry = frames.get(key)
         if entry is None:
@@ -668,24 +660,19 @@ def _score_view(
             near = all_pairs.get((v, f), ())[:n_near]
             m = match_frame(gs, ps, config, scene.dims, v, f, near)
             # every pair within alpha is an IDF1 hit, matched or not
-            entry = frames[key] = (
-                m,
-                tuple((v, f, g, p, d) for g, p, d in m.tp_pairs),
-                tuple((gs[r].id, ps[c].id) for _, r, c in near),
-            )
-        m, frame_tps, frame_hits = entry
+            entry = frames[key] = (m, tuple((gs[r].id, ps[c].id) for _, r, c in near))
+        m, frame_hits = entry
         row.append(m)
-        v_tps.extend(frame_tps)
         hits.extend(frame_hits)
+        v_tp += m.tp
         v_fp += len(m.fp_ids)
         v_fn += len(m.fn_ids)
-    v_tp = len(v_tps)
     # a view's points are its tp + fn ground truth and tp + fp predictions
     if v_tp + v_fp + v_fn == 0:
-        return row, v_tps, 0, 0, (0, 0, 0), [], None
-    # a true positive's terms depend only on its own view's true positives
-    # and the per-(view, id) frame counts
-    ass_terms = build_association_tally(scene.gt_frames, pred_frames, v_tps)
+        return row, (0, 0, 0), [], None
+    # a true positive's terms depend only on its own view's matches and the
+    # per-(view, id) frame counts
+    ass_terms = build_association_tally(scene.gt_frames, pred_frames, row)
     v_values = _jaccard_values(ass_terms)
     v_ass = _mean(v_values, config.zero_tp_policy)
     v_det_acc, _, _, v_f1 = detection_scores(v_tp, v_fp, v_fn)
@@ -703,7 +690,7 @@ def _score_view(
         mota=mota(v_tp + v_fn, v_fn, v_fp, v_idsw),
         idf1=idf1(v_tp + v_fn, v_tp + v_fp, Counter(hits)),
     )
-    return row, v_tps, v_fp, v_fn, _column_sums(ass_terms), v_values, scores
+    return row, _column_sums(ass_terms), v_values, scores
 
 
 def _evaluate_per_class(scene: Scene, config: EvalConfig) -> EvaluationResult:

@@ -56,6 +56,11 @@ class SynthConfig:
             raise ValueError("pred_noise_sigma must be non-negative")
         if self.motion_amplitude < 0 or self.disparity < 0:
             raise ValueError("motion_amplitude and disparity must be non-negative")
+        for name in ("image_width", "image_height"):
+            try:
+                float(getattr(self, name))
+            except OverflowError:  # an integer beyond float range
+                raise ValueError(f"{name} does not fit a float") from None
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -130,27 +135,19 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
             )
             for v in range(config.n_views):
                 x, y = position(i, f, v)
-                pred_id = f"p{i}g{generations[i][f]}"
                 if visible[(i, f, v)]:
                     gt_points.append(Point(view=v, frame=f, x=x, y=y, id=f"g{i}"))
-                    if rng.random() >= config.pred_miss_rate:
-                        pred_points.append(
-                            Point(
-                                view=v,
-                                frame=f,
-                                x=clamp(x + rng.gauss(0, config.pred_noise_sigma), w),
-                                y=clamp(y + rng.gauss(0, config.pred_noise_sigma), h),
-                                id=pred_id,
-                            )
-                        )
-                elif any_visible and rng.random() < config.ghost_rate:
+                    detected = rng.random() >= config.pred_miss_rate
+                else:  # a ghost
+                    detected = any_visible and rng.random() < config.ghost_rate
+                if detected:
                     pred_points.append(
                         Point(
                             view=v,
                             frame=f,
                             x=clamp(x + rng.gauss(0, config.pred_noise_sigma), w),
                             y=clamp(y + rng.gauss(0, config.pred_noise_sigma), h),
-                            id=pred_id,
+                            id=f"p{i}g{generations[i][f]}",
                         )
                     )
 
@@ -170,23 +167,20 @@ def generate(config: SynthConfig) -> tuple[Dataset, Dataset]:
     def order(p: Point) -> tuple[int, int, str]:
         return (p.view, p.frame, p.id)
 
-    gt = Dataset(
-        n_views=config.n_views,
-        n_frames=config.n_frames,
-        image_width=w,
-        image_height=h,
-        points=tuple(sorted(gt_points, key=order)),
-        role=Role.GROUND_TRUTH,
+    gt_points.sort(key=order)
+    pred_points.sort(key=order)
+    return _pair(config.n_views, config.n_frames, w, h, gt_points, pred_points)
+
+
+def _pair(
+    n_views: int, n_frames: int, width: int, height: int, gt: list[Point], pred: list[Point]
+) -> tuple[Dataset, Dataset]:
+    """The (ground truth, prediction) datasets of one scene, points in the order given."""
+    geometry = dict(n_views=n_views, n_frames=n_frames, image_width=width, image_height=height)
+    return (
+        Dataset(**geometry, points=tuple(gt), role=Role.GROUND_TRUTH),
+        Dataset(**geometry, points=tuple(pred), role=Role.PREDICTION),
     )
-    pred = Dataset(
-        n_views=config.n_views,
-        n_frames=config.n_frames,
-        image_width=w,
-        image_height=h,
-        points=tuple(sorted(pred_points, key=order)),
-        role=Role.PREDICTION,
-    )
-    return gt, pred
 
 
 def correspondence_contrast_fixture(variant: str) -> tuple[Dataset, Dataset]:
@@ -219,23 +213,7 @@ def correspondence_contrast_fixture(variant: str) -> tuple[Dataset, Dataset]:
             if name in detected:
                 pred_points.append(Point(view=0, frame=f, x=columns[name], y=y))
 
-    gt = Dataset(
-        n_views=2,
-        n_frames=n_frames,
-        image_width=128,
-        image_height=96,
-        points=tuple(gt_points),
-        role=Role.GROUND_TRUTH,
-    )
-    pred = Dataset(
-        n_views=2,
-        n_frames=n_frames,
-        image_width=128,
-        image_height=96,
-        points=tuple(pred_points),
-        role=Role.PREDICTION,
-    )
-    return gt, pred
+    return _pair(2, n_frames, 128, 96, gt_points, pred_points)
 
 
 def three_view_fixture() -> tuple[Dataset, Dataset]:
@@ -262,20 +240,4 @@ def three_view_fixture() -> tuple[Dataset, Dataset]:
             gt_points.append(Point(view=v, frame=f, x=90.0, y=y, id="g3"))
         pred_points.append(Point(view=0, frame=f, x=90.0, y=y, id="q3"))
 
-    gt = Dataset(
-        n_views=3,
-        n_frames=n_frames,
-        image_width=128,
-        image_height=96,
-        points=tuple(gt_points),
-        role=Role.GROUND_TRUTH,
-    )
-    pred = Dataset(
-        n_views=3,
-        n_frames=n_frames,
-        image_width=128,
-        image_height=96,
-        points=tuple(pred_points),
-        role=Role.PREDICTION,
-    )
-    return gt, pred
+    return _pair(3, n_frames, 128, 96, gt_points, pred_points)

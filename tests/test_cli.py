@@ -463,6 +463,16 @@ def test_synth_invalid_probability_fails_validation(tmp_path):
     assert "view_drop_prob" in result.stderr
 
 
+@pytest.mark.parametrize("flag", ["--width", "--height"])
+def test_synth_size_beyond_float_range_is_an_error(tmp_path, flag):
+    result = run_cli("synth", "--frames", "2", flag, "1" + "0" * 400, cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_per_class_flag(tmp_path):
     doc = {
         "n_views": 1,

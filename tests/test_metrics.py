@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mvteval import metrics
 from mvteval.core import Dataset, EvalConfig, Point, Role, remap_gt_ids
-from mvteval.matching import match_frame
+from mvteval.matching import FrameMatch, match_frame
 from mvteval.metrics import (
     EvaluationError,
     build_association_tally,
@@ -165,8 +165,8 @@ def test_association_zero_tp_policy():
 
 def test_ass_tally_counts():
     gt, pred = _single_track_scene(SPLIT_TRACK)
-    tp_instances = [(0, f, "g", p, 0.0) for f, p in enumerate(SPLIT_TRACK)]
-    terms = build_association_tally(frame_counts(gt), frame_counts(pred), tp_instances)
+    matches = [FrameMatch(0, f, (("g", p, 0.0),), (), ()) for f, p in enumerate(SPLIT_TRACK)]
+    terms = build_association_tally(frame_counts(gt), frame_counts(pred), matches)
     assert terms == SPLIT_TRACK_TERMS
     tpa, fna, fpa = terms[-1]
     assert tpa / (tpa + fna + fpa) == pytest.approx(3 / 5)
@@ -176,10 +176,9 @@ def test_ass_tally_built_from_pipeline():
     gt, pred = _single_track_scene(SPLIT_TRACK)
     result = evaluate_detailed(gt, pred, CONFIG)
     # the matches carry the ground truth's own ids
-    tp_instances = [(m.view, m.frame, g, p, d) for m in result.matches for g, p, d in m.tp_pairs]
-    assert {g for _, _, g, _, _ in tp_instances} == {"g"}
+    assert {g for m in result.matches for g, _, _ in m.tp_pairs} == {"g"}
     terms = build_association_tally(
-        frame_counts(gt), frame_counts(result.pred_with_ids), tp_instances
+        frame_counts(gt), frame_counts(result.pred_with_ids), result.matches
     )
     assert terms == SPLIT_TRACK_TERMS
     tallies = result.report.tallies
@@ -220,10 +219,7 @@ def _classify(gt, pred):
         for v in range(2)
         for f in range(gt.n_frames)
     ]
-    tp_instances = [
-        (m.view, m.frame, g, p, d) for m in matches for g, p, d in m.tp_pairs
-    ]
-    return classify_correspondence(tp_instances, view_masks(gt), view_masks(pred), 2)
+    return classify_correspondence(matches, view_masks(gt), view_masks(pred), 2)
 
 
 def test_correspondence_tp_in_both_views_is_tpc():
@@ -336,15 +332,15 @@ def test_classify_correspondence_equals_the_per_view_rule(scene):
         for v in range(gt.n_views)
         for f in range(gt.n_frames)
     ]
-    tp_instances = [(m.view, m.frame, g, p, d) for m in matches for g, p, d in m.tp_pairs]
-    terms = classify_correspondence(tp_instances, view_masks(gt), view_masks(pred), gt.n_views)
+    terms = classify_correspondence(matches, view_masks(gt), view_masks(pred), gt.n_views)
 
     gt_present = {(p.view, p.frame, p.id) for p in gt.points}
     pred_present = {(p.view, p.frame, p.id) for p in pred.points}
-    tp_gt = {(v, f, g) for v, f, g, _, _ in tp_instances}
+    tps = [(m.view, m.frame, g, p) for m in matches for g, p, _ in m.tp_pairs]
+    tp_gt = {(v, f, g) for v, f, g, _ in tps}
     assert terms == [
         corres_terms(gt.n_views, gt_present, pred_present, tp_gt, v, f, g, p)
-        for v, f, g, p, _ in tp_instances
+        for v, f, g, p in tps
     ]
 
 
@@ -749,6 +745,29 @@ def test_pooled_scores_agree_with_the_per_view_and_per_tp_ones(scene, per_class,
         if t["tp"]:
             weighted = math.fsum(v.tp * v.ass_acc for v in r.per_view) / t["tp"]
             assert weighted == pytest.approx(r.ass_acc, abs=1e-12)
+
+
+@given(crowded_scenes(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_the_report_applies_the_term_functions_to_its_matches(scene, strip_ids):
+    gt, pred = scene
+    if strip_ids:
+        pred = pred.with_points(replace(p, id=None) for p in pred.points)
+    result = evaluate_detailed(gt, pred, CONFIG)
+    report, linked = result.report, result.pred_with_ids
+    ass_terms = build_association_tally(frame_counts(gt), frame_counts(linked), result.matches)
+    corres = classify_correspondence(
+        result.matches, view_masks(gt), view_masks(linked), report.n_views
+    )
+    assert len(ass_terms) == len(corres) == report.tallies["tp"]
+    for terms, keys, acc in (
+        (ass_terms, ("tpa", "fna", "fpa"), report.ass_acc),
+        (corres, ("tpc", "fpc", "fnc"), report.corres_acc),
+    ):
+        sums = tuple(sum(column) for column in zip(*terms)) if terms else (0, 0, 0)
+        assert sums == tuple(report.tallies[k] for k in keys)
+        values = [h / (h + a + b) if h + a + b else 1.0 for h, a, b in terms]
+        assert acc == (math.fsum(values) / len(values) if values else CONFIG.zero_tp_policy)
 
 
 @pytest.mark.parametrize("strip_ids", [False, True])

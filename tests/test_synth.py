@@ -105,6 +105,8 @@ def test_gt_ids_are_shared_across_views():
         {"pred_miss_rate": -0.1},
         {"pred_noise_sigma": -1.0},
         {"pred_fp_rate": -2.0},
+        {"image_width": 10**400},
+        {"image_height": 10**400},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
