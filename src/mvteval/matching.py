@@ -13,11 +13,14 @@ rule out every cell with a positive reduced cost, since by complementary
 slackness no optimal assignment uses one, so only the remaining tight
 cells are probed and the result is the same as probing them all.
 
-Most frames need no solver at all: when no two within-radius pairs share
-a point, those pairs are in every optimum and every other cell costs
-exactly the bound, so ``solve_assignment`` writes the canonical
-assignment down from the pairs alone, without building a matrix (see its
-docstring for the argument).
+A within-radius pair that shares no point with another pair is in every
+optimum, so ``solve_assignment`` writes it down without a solve. Most
+frames need no solver at all: when every pair is isolated like that,
+every other cell costs exactly the bound and the canonical assignment
+follows from the pairs alone, without building a matrix. Otherwise only
+the contested rest goes to the solver: the other rows, the columns that
+hold a pair, and as many of the interchangeable pair-free columns as
+there are rows (see its docstring for the argument).
 
 Both kernels are exact. ``near_pairs`` tests only the points in an x-sorted
 band around each row, and ``_hungarian`` scans only the columns not yet on
@@ -29,7 +32,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from math import fsum
 from typing import Sequence
 
@@ -195,14 +200,15 @@ def solve_assignment(
 
     ``pairs`` holds each within-radius ``(d, r, c)`` as ``near_pairs`` gives
     it, in any order; every other cell costs the image diagonal ``B``, as
-    does a pair at exactly ``d == B``. When every other pair lies more than
-    the tolerance ``1e-9 * (n + m) * max(1, B)`` of ``minimize_cost`` below
-    ``B`` and no two of them share a row or a column, the result is written
-    down from the pairs without a solve; otherwise ``minimize_cost`` decides
-    on the dense n x m matrix. The closed form is exactly what
-    ``minimize_cost`` returns:
+    does a pair at exactly ``d == B``. Call a pair isolated when it lies
+    more than the tolerance ``1e-9 * (n + m) * max(1, B)`` of
+    ``minimize_cost`` below ``B`` and no other pair below ``B``, even one
+    within the tolerance, shares its row or its column. When every pair below ``B``
+    is isolated, the result is written down from the pairs without a
+    solve. The closed form is exactly what ``minimize_cost`` returns on the
+    dense n x m matrix:
 
-    1. Every optimum contains every such pair ``(r, c)``. Take a complete
+    1. Every optimum contains every isolated pair ``(r, c)``. Take a complete
        assignment without it, pair ``r`` with ``c`` and pair their old
        partners with each other. The cells given up cost ``B``, since no
        other pair below ``B`` holds row ``r`` or column ``c``, and the new
@@ -217,6 +223,28 @@ def solve_assignment(
     3. The gap ``B - d`` exceeds the tolerance, which is far above one ulp
        of the total, so the exact ``fsum`` comparisons of ``minimize_cost``
        separate the same totals.
+
+    Otherwise the frame holds a conflict. The isolated pairs are still
+    written down, and ``minimize_cost`` solves only the rest: the other
+    rows against every untaken column that holds a pair below ``B`` and the
+    ``len(rows)`` smallest columns that hold none. Its result, merged with
+    the isolated pairs, is again what the dense matrix gives:
+
+    4. Isolated pairs are forced. The swap of step 1 looks only at row
+       ``r`` and column ``c``, so every optimum contains an isolated pair
+       whatever other pairs conflict, and the row-by-row rule of
+       ``minimize_cost`` picks ``c`` for ``r``.
+    5. Pair-free columns are interchangeable. Such a column costs ``B`` in
+       every row, so swapping a used one for a smaller unused one keeps the
+       total and gives a lexicographically smaller sequence. The rule
+       therefore only ever uses the ``len(rows)`` smallest of them.
+    6. The costs of the isolated pairs must enter every total, so they go
+       to ``minimize_cost`` as its ``fixed`` costs and each total is
+       rounded as the dense matrix's would be. Without them, the pairs
+       ``(141.42135623730948, 2, 0)``, ``(1.8135998598228724, 0, 1)`` and
+       ``(141.4213562373095, 1, 1)`` on 3 x 3 with ``B = hypot(100, 100)``
+       give ``((0, 1), (1, 0), (2, 2))``; the dense matrix gives
+       ``((0, 1), (1, 2), (2, 0))``.
     """
     bound = math.hypot(image_dims[0], image_dims[1])
     below = bound - 1e-9 * (n + m) * max(1.0, bound)
@@ -240,18 +268,45 @@ def solve_assignment(
                     continue
             assigned.append((r, c))
         return tuple(assigned)
-    rows = [[bound] * m for _ in range(n)]
-    for d, r, c in pairs:
-        rows[r][c] = d
-    return minimize_cost(rows)
+    # a conflict: write the isolated pairs down and solve only the rest
+    # (steps 4-6)
+    live = [(d, r, c) for d, r, c in pairs if d != bound]
+    row_pairs = Counter(r for _, r, _ in live)
+    col_pairs = Counter(c for _, _, c in live)
+    forced = {}
+    fixed: list[float] = []
+    for d, r, c in live:
+        if d < below and row_pairs[r] == 1 and col_pairs[c] == 1:
+            forced[r] = c
+            fixed.append(d)
+    rows = [r for r in range(n) if r not in forced]
+    taken = set(forced.values())
+    spare = (c for c in range(m) if c not in col_pairs)
+    cols = sorted([*(c for c in col_pairs if c not in taken), *islice(spare, len(rows))])
+    row_at = {r: i for i, r in enumerate(rows)}
+    col_at = {c: j for j, c in enumerate(cols)}
+    sub = [[bound] * len(cols) for _ in rows]
+    for d, r, c in live:
+        if r not in forced:
+            sub[row_at[r]][col_at[c]] = d
+    solved = minimize_cost(sub, fixed)
+    return tuple(sorted([*forced.items(), *((rows[i], cols[j]) for i, j in solved)]))
 
 
-def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
+def minimize_cost(
+    entries: Sequence[Sequence[float]], fixed: Sequence[float] = ()
+) -> tuple[tuple[int, int], ...]:
     """Canonical minimum-cost maximal assignment of any finite matrix.
 
     Among equal-cost optima the lexicographically smallest (row, col) pair
     sequence is returned, so repeated runs and platform changes cannot
     reshuffle tied matches.
+
+    ``fixed`` holds the costs of cells already assigned outside ``entries``,
+    as ``solve_assignment`` passes its isolated pairs. They are added to
+    the target and to every probe total, so each total is rounded exactly
+    as that of the whole matrix the cells came from; they change no
+    choice other than through that rounding.
 
     A first solve pins the optimal total, one optimal completion and an
     optimal dual ``(u, v)``. Rows are then fixed in order: columns smaller
@@ -279,16 +334,16 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], 
         return ()
 
     base, u, v = _hungarian(entries, range(n), range(m))
-    target = fsum(entries[r][c] for r, c in base)
+    target = fsum([*fixed, *(entries[r][c] for r, c in base)])
     k = min(n, m)
     tolerance = 1e-9 * (n + m) * max(1.0, max(max(map(abs, row)) for row in entries))
 
-    # invariant: fixed + current reaches the target; current covers rows > r
+    # invariant: settled + current reaches the target; current covers rows > r
     current = dict(base)
-    fixed: list[tuple[int, int]] = []
+    settled: list[tuple[int, int]] = []
     used: set[int] = set()
     for r in range(n):
-        if len(fixed) == k:
+        if len(settled) == k:
             break
         free_cols = [c for c in range(m) if c not in used]
         fallback = current.get(r)
@@ -300,7 +355,8 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], 
                 continue  # no optimal assignment uses this cell
             rest, _, _ = _hungarian(entries, range(r + 1, n), [x for x in free_cols if x != c])
             total = fsum(
-                [entries[rr][cc] for rr, cc in fixed]
+                [*fixed]
+                + [entries[rr][cc] for rr, cc in settled]
                 + [entries[r][c]]
                 + [entries[rr][cc] for rr, cc in rest]
             )
@@ -310,10 +366,10 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], 
                 break
         if chosen is None:
             continue  # no optimal completion assigns this row
-        fixed.append((r, chosen))
+        settled.append((r, chosen))
         used.add(chosen)
 
-    return tuple(fixed)
+    return tuple(settled)
 
 
 def match_frame(

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
 from math import fsum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvteval import evaluate, matching, metrics
@@ -164,10 +165,11 @@ RADII = st.sampled_from([1.5, 2.5, 4.5, 30.0, 150.0])
 
 
 @st.composite
-def pairs_of_points(draw):
+def pairs_of_points(draw, max_points=8):
     """(n, m, pairs, True): two point sets and their within-radius pairs in a
-    shuffled order, small enough to check against the exhaustive optimum."""
-    gts, preds, alpha = draw(mixed_points()), draw(mixed_points()), draw(RADII)
+    shuffled order, checked against the exhaustive optimum up to 6 x 6."""
+    gts, preds = draw(mixed_points(max_points)), draw(mixed_points(max_points))
+    alpha = draw(RADII)
     return len(gts), len(preds), draw(st.permutations(near_pairs(gts, preds, alpha))), True
 
 
@@ -199,7 +201,23 @@ def pairs_beside_the_bound(draw):
     return n, m, draw(st.permutations([(d, r, c) for (r, c), d in cells.items()])), False
 
 
-@given(st.one_of(pairs_of_points(), pairs_beside_the_bound()))
+# 15 points a side often leave more pair-free columns than rows to solve
+@given(st.one_of(pairs_of_points(), pairs_of_points(max_points=15), pairs_beside_the_bound()))
+# the isolated pair (0, 1) is written down, and its cost must still enter
+# every total: without it the residual's totals round differently and the
+# solver returns ((0, 1), (1, 0), (2, 2))
+@example(
+    (
+        3,
+        3,
+        [(141.42135623730948, 2, 0), (1.8135998598228724, 0, 1), (141.4213562373095, 1, 1)],
+        False,
+    )
+)
+# both rows contest column 2 one ulp below the bound, where a pair ties
+# with a pair-free column: the tie-break gives each row a pair-free column,
+# so the residual must keep as many of them as it has rows
+@example((2, 3, [(math.nextafter(math.hypot(*DIMS), 0), r, 2) for r in (0, 1)], False))
 @settings(max_examples=600, deadline=None)
 def test_solve_assignment_equals_the_solver_on_thresholded_matrices(case):
     n, m, pairs, exhaustive = case
@@ -273,10 +291,12 @@ def test_conflict_free_frame_needs_no_solve(monkeypatch, swap):
     }
     assert set(m.fn_ids) | set(m.fp_ids) == {"missed", "fp"}
 
-    # a conflict sends the whole frame, as one n x m matrix, to the solver
+    # a conflict sends the solver only the residual: bq and cr are isolated
+    # and written down, so a, d and missed remain against p, the column a
+    # and d contest, and fp, the one pair-free column
     m = match_frame(*frames[1], CONFIG, DIMS)
     assert calls["minimize"] == 1 and calls["solves"] > 0
-    assert calls["shapes"] == [tuple(map(len, frames[1]))]
+    assert calls["shapes"] == [(2, 3) if swap else (3, 2)]
     assert m.tp == 3
 
 
@@ -572,6 +592,36 @@ def test_fresh_ids_avoid_pass_through_collision():
     out = assign_temporal_ids(ds, CONFIG)
     ids = [p.id for p in out.points]
     assert len(set(ids)) == 2
+
+
+def test_linker_on_a_long_id_less_sequence_equals_the_dense_solver(monkeypatch):
+    # each linker matrix spans every identity seen so far in its view, so
+    # most of its columns hold no pair and most of its pairs are isolated
+    gt, pred = generate(
+        SynthConfig(
+            n_views=2,
+            n_frames=200,
+            n_points=10,
+            motion_amplitude=5.0,
+            pred_noise_sigma=1.5,
+            pred_miss_rate=0.1,
+            pred_fp_rate=0.5,
+            view_drop_prob=0.15,
+            id_switch_prob=0.02,
+            seed=2,
+        )
+    )
+    pred = pred.with_points(dataclasses.replace(p, id=None) for p in pred.points)
+    fast = metrics.evaluate_detailed(gt, pred)
+    monkeypatch.setattr(
+        matching,
+        "solve_assignment",
+        lambda n, m, pairs, dims: minimize_cost(thresholded_matrix(n, m, pairs, dims)),
+    )
+    dense = metrics.evaluate_detailed(gt, pred)
+    assert fast.report == dense.report
+    assert fast.matches == dense.matches
+    assert fast.pred_with_ids.points == dense.pred_with_ids.points
 
 
 def test_assignment_is_deterministic():
