@@ -353,18 +353,30 @@ def dataset_from_dict(data: Any, role: Role) -> Dataset:
 
 
 def _read_points(raw_points: list) -> Iterable[Point]:
-    """Each entry as a ``Point``, raising on the first field of the wrong type."""
+    """Each entry as a ``Point``, raising on the first field of the wrong type.
+
+    A value of its field's exact JSON type is taken as it is; any other
+    value goes through the field's check, which raises or converts it.
+    """
     for i, entry in enumerate(raw_points):
         if not isinstance(entry, dict):
             raise DatasetError("point must be an object", f"points[{i}]")
-        yield Point(
-            _int_field(entry, "view", i),
-            _int_field(entry, "frame", i),
-            _number_field(entry, "x", i),
-            _number_field(entry, "y", i),
-            _opt_str_field(entry, "id", i),
-            _opt_str_field(entry, "class", i),
-        )
+        get = entry.get
+        view, frame, x, y = get("view"), get("frame"), get("x"), get("y")
+        pid, label = get("id"), get("class")
+        if type(view) is not int:
+            view = _int_field(entry, "view", i)
+        if type(frame) is not int:
+            frame = _int_field(entry, "frame", i)
+        if type(x) is not float:
+            x = _number_field(entry, "x", i)
+        if type(y) is not float:
+            y = _number_field(entry, "y", i)
+        if pid is not None and type(pid) is not str:
+            pid = _opt_str_field(entry, "id", i)
+        if label is not None and type(label) is not str:
+            label = _opt_str_field(entry, "class", i)
+        yield Point(view, frame, x, y, pid, label)
 
 
 def parse_dataset(source: str | Path | IO[str], role: Role) -> Dataset:

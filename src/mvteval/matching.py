@@ -422,7 +422,10 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
     frame are matched against the last known positions of all identities
     seen so far (not just the previous frame), so tracks survive gaps;
     leftovers get fresh ids ``v{view}t{n}`` from a per-view counter that
-    skips pass-through ids and ids already seen. Memory is unbounded on
+    skips every id the predictions carry, in any view, and ids already
+    minted in the view. A minted id that another view's prediction carries
+    would otherwise read as that point's presence in the other view and
+    count as a false correspondence. Memory is unbounded on
     purpose: a point that leaves the scene and reappears near its old
     location gets its old identity back, and no aging horizon is part of
     the matching contract.
@@ -434,8 +437,8 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
     # (view, frame) -> an iterator over the ids given to its id-less points,
     # in input order
     assigned = {}
+    reserved = {p.id for p in pred.points if p.id is not None}
     for view in range(pred.n_views):
-        reserved = {p.id for p in pred.points if p.view == view and p.id is not None}
         # each identity's latest point, in the order identities were first seen
         last: dict[str, Point] = {}
         minted = 0

@@ -33,6 +33,9 @@ FrameKey = tuple[int, int, int, "tuple[str, ...] | None"]
 # One view's result: its frame matches, association (TPA, FNA, FPA) sums and
 # per-TP values, and its scores (None for a view without points).
 ViewResult = tuple[list[FrameMatch], tuple[int, int, int], list[float], "PerViewScores | None"]
+# One frame column's result, over every view: its correspondence (TPC, FPC,
+# FNC) sums and per-TP values, and its true positives' distances.
+ColumnResult = tuple[tuple[int, int, int], list[float], list[float]]
 
 
 @dataclass(frozen=True)
@@ -349,10 +352,11 @@ def idf1(n_gt: int, n_pred: int, hits: Counter[tuple[str, str]]) -> float | None
     if hits:
         gt_order = sorted({g for g, _ in hits})
         pred_order = sorted({p for _, p in hits})
-        overlap = [[hits[g, p] for p in pred_order] for g in gt_order]
         ceiling = float(max(hits.values()))
-        costs = tuple(tuple(ceiling - o for o in row) for row in overlap)
-        idtp = sum(overlap[r][c] for r, c in minimize_cost(costs))
+        # .get, not hits[...]: a Counter's missing key costs a Python call
+        get = hits.get
+        costs = tuple(tuple(ceiling - get((g, p), 0) for p in pred_order) for g in gt_order)
+        idtp = sum(get((gt_order[r], pred_order[c]), 0) for r, c in minimize_cost(costs))
     return 2 * idtp / (n_gt + n_pred)
 
 
@@ -424,7 +428,7 @@ class Scene:
     needing no temporal linking skip the linker; and, for every (view,
     frame), the ground-truth/prediction pairs closer than ``radius``,
     nearest first, so that a smaller radius reads its pairs as a prefix.
-    Each part is built on first use. The scene also keeps two memos of
+    Each part is built on first use. The scene also keeps three memos of
     results already computed. The frame memo: a frame whose within-radius
     pairs and prediction ids are those of a radius already scored gets
     back that radius's result: each frame's match and its IDF1 hits. The
@@ -432,8 +436,14 @@ class Scene:
     ``zero_tp_policy`` are those of a radius already scored gets that
     view's whole result back (its matches, association sums and values,
     and per-view scores), so its association, id switches and IDF1 are not
-    computed again. Results are the same with a shared scene and without
-    one.
+    computed again. The column memo: a frame whose keys in every view are
+    those of a radius already scored gets back its correspondence sums and
+    per-TP values and its true positives' distances. A true positive's
+    correspondence reads only the ground truth's view masks, fixed for the
+    scene, the prediction masks of its frame, fixed or carried by linked
+    ids in the keys, and the matches of its frame, which the frame memo
+    gives each key once; so the column is not classified again. Results
+    are the same with a shared scene and without one.
     """
 
     def __init__(self, gt: Dataset, pred: Dataset, radius: float):
@@ -454,6 +464,8 @@ class Scene:
         # (zero_tp_policy, one view's frame keys in frame order) -> the
         # view's result
         self._views: dict[tuple[float, tuple[FrameKey, ...]], ViewResult] = {}
+        # one frame's keys, one per view -> the frame column's result
+        self._columns: dict[tuple[FrameKey, ...], ColumnResult] = {}
 
     @cached_property
     def occlusion(self) -> OcclusionReport:
@@ -534,7 +546,8 @@ def evaluate_detailed(
     Pipeline: link prediction ids where any is missing; then each view's
     frames are matched on the ground truth's own ids and the view is
     scored, unless the scene already holds that view's result;
-    correspondence, which needs every view's matches, comes last.
+    correspondence, which needs every view's matches, comes last, one frame
+    column at a time, unless the scene already holds that column's result.
     Deterministic for a given input pair and config. ``scene``, a ``Scene``
     of this same pair with a radius of at least ``config.alpha``, only
     skips work done for another radius; a call without one builds its own.
@@ -568,6 +581,8 @@ def evaluate_detailed(
     ass_sums: list[tuple[int, int, int]] = []
     ass_values: list[float] = []
     per_view: list[PerViewScores] = []
+    rows: list[list[FrameMatch]] = []
+    view_keys: list[list[FrameKey]] = []
     views, all_pairs = scene._views, scene.pairs
     for v in range(n_views):
         keys = []
@@ -580,20 +595,42 @@ def evaluate_detailed(
             entry = views[key] = _score_view(scene, pred, pred_frames, keys, config)
         row, v_sums, v_values, scores = entry
         matches.extend(row)
+        rows.append(row)
+        view_keys.append(keys)
         ass_sums.append(v_sums)
         ass_values.extend(v_values)
         if scores is not None:
             per_view.append(scores)
 
+    # pooled in (frame, view) order; the means are exactly rounded sums, so
+    # the order does not change them
+    corres_sums: list[tuple[int, int, int]] = []
+    corres_values: list[float] = []
+    distances: list[float] = []
+    columns, gt_views = scene._columns, scene.gt_views
+    for f, column in enumerate(zip(*view_keys)):
+        entry = columns.get(column)
+        if entry is None:
+            frame_matches = [row[f] for row in rows]
+            terms = classify_correspondence(frame_matches, gt_views, pred_views, n_views)
+            entry = columns[column] = (
+                _column_sums(terms),
+                _jaccard_values(terms),
+                [d for m in frame_matches for _, _, d in m.tp_pairs],
+            )
+        c_sums, c_values, c_distances = entry
+        corres_sums.append(c_sums)
+        corres_values.extend(c_values)
+        distances.extend(c_distances)
+
     # a view without points adds no tp, fp or fn
     tp, fp, fn = _column_sums([(view.tp, view.fp, view.fn) for view in per_view])
     tpa, fna, fpa = _column_sums(ass_sums)
+    tpc, fpc, fnc = _column_sums(corres_sums)
     det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
     ass = _mean(ass_values, policy)
-    corres_terms = classify_correspondence(matches, scene.gt_views, pred_views, n_views)
-    tpc, fpc, fnc = _column_sums(corres_terms)
-    corres = _mean(_jaccard_values(corres_terms), policy)
-    loc_acc = _mean([d for m in matches for _, _, d in m.tp_pairs], 0.0)
+    corres = _mean(corres_values, policy)
+    loc_acc = _mean(distances, 0.0)
 
     report = MetricReport(
         alpha=alpha,

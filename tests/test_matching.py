@@ -594,6 +594,26 @@ def test_fresh_ids_avoid_pass_through_collision():
     assert len(set(ids)) == 2
 
 
+@pytest.mark.parametrize("other_id", ["zzz", "v0t0"])
+def test_fresh_ids_avoid_another_views_ids(other_id):
+    # view 0 mints an id for its id-less detection of g; view 1 holds one
+    # far false positive with a supplied id, where g is not annotated
+    gt = Dataset(
+        2, 1, 100, 100, (pt(10, 10, "g"), pt(50, 50, "h", view=1)), Role.GROUND_TRUTH
+    )
+    pred = prediction_dataset(
+        [pt(11, 10), pt(90, 90, other_id, view=1)], n_frames=1, n_views=2, size=100
+    )
+    linked = assign_temporal_ids(pred, CONFIG)
+    assert linked.points[0].id not in (None, other_id)
+    report = evaluate(gt, pred, CONFIG)
+    # had view 0 minted the other view's id, that id's presence in view 1
+    # would count as a false correspondence: CorresAcc and mvHOTA 0
+    assert report.tallies["fpc"] == 0
+    assert report.corres_acc == 1.0
+    assert report.mv_hota == pytest.approx(0.693, abs=5e-4)
+
+
 def test_linker_on_a_long_id_less_sequence_equals_the_dense_solver(monkeypatch):
     # each linker matrix spans every identity seen so far in its view, so
     # most of its columns hold no pair and most of its pairs are isolated

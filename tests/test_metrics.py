@@ -695,10 +695,15 @@ def crowded_scenes(draw):
 
 @st.composite
 def renamings(draw, ids):
-    """An injective renaming of ``ids``; half of them reverse the ids' sort order."""
+    """An injective renaming of ``ids``: names that reverse the ids' sort order,
+    names of the linker's ``v{view}t{n}`` form, or arbitrary short names."""
     ids = sorted(ids)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["reversed", "minted", "text"]))
+    if kind == "reversed":
         names = [f"r{len(ids) - i:04d}" for i in range(len(ids))]
+    elif kind == "minted":
+        pool = [f"v{k}t{n}" for k in range(3) for n in range(len(ids))]
+        names = draw(st.permutations(pool))[: len(ids)]
     else:
         names = draw(
             st.lists(
@@ -711,12 +716,16 @@ def renamings(draw, ids):
     return dict(zip(ids, names))
 
 
-@given(crowded_scenes(), st.data(), st.booleans(), st.booleans())
+@given(crowded_scenes(), st.data(), st.booleans(), st.sampled_from(["none", "half", "all"]))
 @settings(max_examples=150, deadline=None)
 def test_renaming_ids_leaves_the_report_unchanged(scene, data, per_class, strip_ids):
     gt, pred = scene
-    if strip_ids:
-        pred = pred.with_points(replace(p, id=None) for p in pred.points)
+    # with half the ids stripped, kept ids can take the names the linker mints
+    if strip_ids != "none":
+        pred = pred.with_points(
+            replace(p, id=None) if strip_ids == "all" or i % 2 else p
+            for i, p in enumerate(pred.points)
+        )
     gt_names = data.draw(renamings({p.id for p in gt.points}))
     pred_names = data.draw(renamings({p.id for p in pred.points} - {None}))
     renamed_gt = gt.with_points(replace(p, id=gt_names[p.id]) for p in gt.points)
@@ -725,6 +734,55 @@ def test_renaming_ids_leaves_the_report_unchanged(scene, data, per_class, strip_
     assert evaluate(renamed_gt, renamed_pred, config).to_dict() == evaluate(
         gt, pred, config
     ).to_dict()
+
+
+def _pooled(report):
+    """Every pooled score, tally and occlusion index of a report, with the
+    per-view ones keyed by view."""
+    occlusion = report.occlusion
+    return (
+        {name: getattr(report, name) for name in SCORE_KEYS},
+        report.tallies,
+        (occlusion.simple, occlusion.weighted_mean, occlusion.temporal_mean, occlusion.multiview),
+        {v.view: v for v in report.per_view},
+    )
+
+
+@given(crowded_scenes(), st.data(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_permuting_the_views_leaves_the_report_unchanged(scene, data, strip_ids):
+    gt, pred = scene
+    if strip_ids:
+        pred = pred.with_points(replace(p, id=None) for p in pred.points)
+    order = data.draw(st.permutations(range(gt.n_views)))
+    moved_gt, moved_pred = (
+        ds.with_points(replace(p, view=order[p.view]) for p in ds.points) for ds in (gt, pred)
+    )
+    scores, tallies, occlusion, per_view = _pooled(evaluate(gt, pred, CONFIG))
+    moved = _pooled(evaluate(moved_gt, moved_pred, CONFIG))
+    assert moved[:3] == (scores, tallies, occlusion)
+    assert moved[3] == {order[v]: replace(s, view=order[v]) for v, s in per_view.items()}
+
+
+@given(crowded_scenes(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_doubling_the_scale_doubles_only_the_localisation_error(scene, strip_ids):
+    # doubling is exact in binary floating point: every distance, bound and
+    # tolerance doubles, and every comparison between them comes out the same
+    gt, pred = scene
+    if strip_ids:
+        pred = pred.with_points(replace(p, id=None) for p in pred.points)
+    big_gt, big_pred = (
+        Dataset(
+            ds.n_views, ds.n_frames, 2 * ds.image_width, 2 * ds.image_height,
+            tuple(replace(p, x=2 * p.x, y=2 * p.y) for p in ds.points), ds.role,
+        )
+        for ds in (gt, pred)
+    )
+    report = evaluate(gt, pred, CONFIG)
+    big = evaluate(big_gt, big_pred, replace(CONFIG, alpha=2 * CONFIG.alpha))
+    assert big.loc_acc == 2 * report.loc_acc
+    assert _pooled(big) == _pooled(replace(report, loc_acc=big.loc_acc))
 
 
 @given(crowded_scenes(), st.booleans(), st.booleans())

@@ -218,6 +218,26 @@ def test_a_repeated_radius_scores_no_view_again(monkeypatch, per_class, strip_id
         assert result == evaluate_detailed(gt, pred, EvalConfig(alpha, per_class))
 
 
+@pytest.mark.parametrize("per_class", [False, True])
+@pytest.mark.parametrize("strip_ids", [False, True])
+def test_a_repeated_radius_classifies_no_frame_column_again(monkeypatch, per_class, strip_ids):
+    gt, pred = scene_pair(per_class, strip_ids)
+    radii = (6.0, 2.0, 6.0, 12.0, 2.0, 12.0)
+    scene = Scene(gt, pred, max(radii))
+    calls = count_calls(monkeypatch, metrics, "classify_correspondence")
+    shared, counts = [], []
+    for alpha in radii:
+        shared.append(evaluate_detailed(gt, pred, EvalConfig(alpha, per_class), scene=scene))
+        counts.append(calls["classify_correspondence"])
+    # one call per frame column, in each class's scene
+    n_scenes = len(scene.classes) if per_class else 1
+    assert counts[0] == n_scenes * SYNTH.n_frames
+    # the second visits of 6, 2 and 12 find every column already classified
+    assert counts[2] == counts[1] and counts[4] == counts[3] and counts[5] == counts[4]
+    for alpha, result in zip(radii, shared):
+        assert result == evaluate_detailed(gt, pred, EvalConfig(alpha, per_class))
+
+
 def test_a_view_scored_under_one_zero_tp_policy_is_not_reused_under_another():
     # view 0 has a true positive, view 1 a miss and a far false positive
     points = [Point(0, 0, 10.0, 10.0, "g"), Point(1, 0, 10.0, 10.0, "g")]
