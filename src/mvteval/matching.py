@@ -4,8 +4,9 @@ A detection counts only within the detection radius, so both uses start
 from the sparse list of within-radius pairs. The objective they stand for
 prices each pair at its distance and every other (row, column) cell at the
 image diagonal, an upper bound on any true distance, so a complete
-assignment always exists. Cells assigned at the bound are not matches;
-they fall apart into one miss and one spurious detection afterwards.
+assignment always exists. Cells assigned at the bound are not matches, so
+``solve_assignment`` reports only the pairs the assignment keeps; every
+point outside them is a miss or a spurious detection.
 
 Ties between optima are broken lexicographically by re-solving with one
 cell forced at a time. The optimal dual potentials of the first solve
@@ -16,8 +17,10 @@ cells are probed and the result is the same as probing them all.
 A within-radius pair that shares no point with another pair is in every
 optimum, so ``solve_assignment`` writes it down without a solve. Most
 frames need no solver at all: when every pair is isolated like that,
-every other cell costs exactly the bound and the canonical assignment
-follows from the pairs alone, without building a matrix. Otherwise only
+every other cell costs exactly the bound, and the kept pairs are those
+pairs themselves, without building a matrix. The bound-priced cells that
+complete the assignment are walked only where a pair lies at exactly the
+image diagonal, since only there can one of them be a pair. Otherwise only
 the contested rest goes to the solver: the other rows, the columns that
 hold a pair, and as many of the interchangeable pair-free columns as
 there are rows (see its docstring for the argument).
@@ -195,18 +198,22 @@ def _hungarian(
 
 def solve_assignment(
     n: int, m: int, pairs: Sequence[tuple[float, int, int]], image_dims: tuple[int, int]
-) -> tuple[tuple[int, int], ...]:
-    """Canonical minimum-cost assignment of n rows to m columns.
+) -> list[tuple[int, int, float]]:
+    """The pairs that the canonical assignment of n rows to m columns keeps.
 
     ``pairs`` holds each within-radius ``(d, r, c)`` as ``near_pairs`` gives
     it, in any order; every other cell costs the image diagonal ``B``, as
-    does a pair at exactly ``d == B``. Call a pair isolated when it lies
-    more than the tolerance ``1e-9 * (n + m) * max(1, B)`` of
-    ``minimize_cost`` below ``B`` and no other pair below ``B``, even one
-    within the tolerance, shares its row or its column. When every pair below ``B``
-    is isolated, the result is written down from the pairs without a
-    solve. The closed form is exactly what ``minimize_cost`` returns on the
-    dense n x m matrix:
+    does a pair at exactly ``d == B``. The result is the ``(r, c, d)`` of
+    each pair that the canonical assignment uses, sorted by row: the pair
+    cells of what ``minimize_cost`` returns on the dense n x m matrix. Its
+    other cells cost the bound and are no matches, so they are not listed.
+
+    Call a pair isolated when it lies more than the tolerance ``1e-9 * (n +
+    m) * max(1, B)`` of ``minimize_cost`` below ``B`` and no other pair
+    below ``B``, even one within the tolerance, shares its row or its
+    column. When every pair below ``B`` is isolated, the result is written
+    down from the pairs without a solve. The closed form is exactly what
+    ``minimize_cost`` keeps on the dense matrix:
 
     1. Every optimum contains every isolated pair ``(r, c)``. Take a complete
        assignment without it, pair ``r`` with ``c`` and pair their old
@@ -220,6 +227,10 @@ def solve_assignment(
        All completions tie, and the lexicographically smallest one fills
        the rows in order, each row without a forced pair taking the
        smallest column that is neither forced nor taken, while one remains.
+       A row without a forced pair holds no pair below ``B``, so such a
+       fill-in lands on a pair only where that pair lies at exactly ``B``,
+       which takes a radius past the image diagonal. Only then are the
+       fill-ins walked.
     3. The gap ``B - d`` exceeds the tolerance, which is far above one ulp
        of the total, so the exact ``fsum`` comparisons of ``minimize_cost``
        separate the same totals.
@@ -248,49 +259,60 @@ def solve_assignment(
     """
     bound = math.hypot(image_dims[0], image_dims[1])
     below = bound - 1e-9 * (n + m) * max(1.0, bound)
-    forced: dict[int, int] = {}  # row -> its only pair below the bound
+    kept: list[tuple[int, int, float]] = []
+    rows: set[int] = set()  # the rows and columns of the forced pairs
     taken: set[int] = set()
+    at_bound: set[tuple[int, int]] = set()  # pairs that cost what any other cell costs
     for d, r, c in pairs:
         if d == bound:
-            continue  # costs what a cell outside the radius costs
-        if d >= below or r in forced or c in taken:
+            at_bound.add((r, c))
+            continue
+        if d >= below or r in rows or c in taken:
             break
-        forced[r] = c
+        kept.append((r, c, d))
+        rows.add(r)
         taken.add(c)
     else:
-        free = (c for c in range(m) if c not in taken)
-        assigned = []
-        for r in range(n):
-            c = forced.get(r)
-            if c is None:
-                c = next(free, None)
-                if c is None:
-                    continue
-            assigned.append((r, c))
-        return tuple(assigned)
+        if at_bound:
+            # step 2's fill-ins, each kept where it lands on a pair
+            free = (c for c in range(m) if c not in taken)
+            for r in range(n):
+                if r not in rows:
+                    c = next(free, None)
+                    if c is None:
+                        break
+                    if (r, c) in at_bound:
+                        kept.append((r, c, bound))
+        kept.sort()
+        return kept
     # a conflict: write the isolated pairs down and solve only the rest
     # (steps 4-6)
     live = [(d, r, c) for d, r, c in pairs if d != bound]
     row_pairs = Counter(r for _, r, _ in live)
     col_pairs = Counter(c for _, _, c in live)
-    forced = {}
+    forced: dict[int, int] = {}
     fixed: list[float] = []
     for d, r, c in live:
         if d < below and row_pairs[r] == 1 and col_pairs[c] == 1:
             forced[r] = c
             fixed.append(d)
-    rows = [r for r in range(n) if r not in forced]
+    rest = [r for r in range(n) if r not in forced]
     taken = set(forced.values())
     spare = (c for c in range(m) if c not in col_pairs)
-    cols = sorted([*(c for c in col_pairs if c not in taken), *islice(spare, len(rows))])
-    row_at = {r: i for i, r in enumerate(rows)}
+    cols = sorted([*(c for c in col_pairs if c not in taken), *islice(spare, len(rest))])
+    row_at = {r: i for i, r in enumerate(rest)}
     col_at = {c: j for j, c in enumerate(cols)}
-    sub = [[bound] * len(cols) for _ in rows]
+    sub = [[bound] * len(cols) for _ in rest]
     for d, r, c in live:
         if r not in forced:
             sub[row_at[r]][col_at[c]] = d
     solved = minimize_cost(sub, fixed)
-    return tuple(sorted([*forced.items(), *((rows[i], cols[j]) for i, j in solved)]))
+    distance = {(r, c): d for d, r, c in pairs}
+    return [
+        (r, c, distance[r, c])
+        for r, c in sorted([*forced.items(), *((rest[i], cols[j]) for i, j in solved)])
+        if (r, c) in distance
+    ]
 
 
 def minimize_cost(
@@ -345,14 +367,17 @@ def minimize_cost(
     for r in range(n):
         if len(settled) == k:
             break
-        free_cols = [c for c in range(m) if c not in used]
         fallback = current.get(r)
         chosen = fallback
-        for c in free_cols:
-            if fallback is not None and c >= fallback:
-                break
-            if entries[r][c] - u[r] - v[c] > tolerance:
-                continue  # no optimal assignment uses this cell
+        row, ur = entries[r], u[r]
+        # no optimal assignment uses a cell that is not tight
+        tight = [
+            c
+            for c in range(m if fallback is None else fallback)
+            if c not in used and row[c] - ur - v[c] <= tolerance
+        ]
+        free_cols = [c for c in range(m) if c not in used] if tight else []
+        for c in tight:
             rest, _, _ = _hungarian(entries, range(r + 1, n), [x for x in free_cols if x != c])
             total = fsum(
                 [*fixed]
@@ -383,32 +408,29 @@ def match_frame(
 ) -> FrameMatch:
     """Match one frame's ground truth against its predictions.
 
-    Assigned pairs within the radius become true positives; pairs forced
-    to the diagonal bound split into one miss and one false detection.
-    A caller that already holds the frame's within-radius pairs, as
-    ``near_pairs`` gives them and in any order, passes them as ``pairs``;
-    ``config.alpha`` then goes unused. Each true positive keeps its pair's
+    The within-radius pairs that ``solve_assignment`` keeps become true
+    positives; every other point is a miss or a false detection. A caller
+    that already holds the frame's within-radius pairs, as ``near_pairs``
+    gives them and in any order, passes them as ``pairs``; ``config.alpha``
+    then goes unused. Each true positive keeps its pair's
     distance, which is the true one even where the radius exceeds the
     image diagonal and a pair lies farther apart than the bound.
     """
     if pairs is None:
         pairs = near_pairs(gt_points, pred_points, config.alpha)
-    near = {(r, c): d for d, r, c in pairs}
-    tp_rows: set[int] = set()
-    tp_cols: set[int] = set()
-    tp_pairs: list[tuple[str, str, float]] = []
-    for r, c in solve_assignment(len(gt_points), len(pred_points), pairs, image_dims):
-        d = near.get((r, c))
-        if d is not None:
-            tp_pairs.append((gt_points[r].id, pred_points[c].id, d))
-            tp_rows.add(r)
-            tp_cols.add(c)
-    fn_ids = tuple(g.id for i, g in enumerate(gt_points) if i not in tp_rows)
-    fp_ids = tuple(p.id for j, p in enumerate(pred_points) if j not in tp_cols)
+    kept = solve_assignment(len(gt_points), len(pred_points), pairs, image_dims)
+    fn_ids: tuple[str, ...] = ()
+    if len(kept) < len(gt_points):
+        tp_rows = {r for r, _, _ in kept}
+        fn_ids = tuple(g.id for i, g in enumerate(gt_points) if i not in tp_rows)
+    fp_ids: tuple[str, ...] = ()
+    if len(kept) < len(pred_points):
+        tp_cols = {c for _, c, _ in kept}
+        fp_ids = tuple(p.id for j, p in enumerate(pred_points) if j not in tp_cols)
     return FrameMatch(
         view=view,
         frame=frame,
-        tp_pairs=tuple(tp_pairs),
+        tp_pairs=tuple([(gt_points[r].id, pred_points[c].id, d) for r, c, d in kept]),
         fp_ids=fp_ids,
         fn_ids=fn_ids,
     )
@@ -448,12 +470,10 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
             claimed = {p.id for p in points}
             candidates = [t for t in last if t not in claimed]
             near = near_pairs(nameless, [last[t] for t in candidates], config.alpha)
-            within = {(r, c) for _, r, c in near}
 
             ids: list[str | None] = [None] * len(nameless)
-            for r, c in solve_assignment(len(nameless), len(candidates), near, dims):
-                if (r, c) in within:
-                    ids[r] = candidates[c]
+            for r, c, _ in solve_assignment(len(nameless), len(candidates), near, dims):
+                ids[r] = candidates[c]
             for r in range(len(ids)):
                 while ids[r] is None:
                     fresh = f"v{view}t{minted}"

@@ -360,14 +360,21 @@ def idf1(n_gt: int, n_pred: int, hits: Counter[tuple[str, str]]) -> float | None
     return 2 * idtp / (n_gt + n_pred)
 
 
-def occlusion_index(gt: Dataset) -> OcclusionReport:
-    """Occlusion indices of a ground-truth dataset."""
+def occlusion_index(
+    gt: Dataset, masks: dict[tuple[int, str | None], int] | None = None
+) -> OcclusionReport:
+    """Occlusion indices of a ground-truth dataset.
+
+    ``masks``, the ``view_masks`` of ``gt`` where the caller already holds
+    them, saves building them again; the result is the same without it.
+    """
     if gt.role is not Role.GROUND_TRUTH:
         raise ValueError("occlusion_index expects a ground-truth dataset")
     if not gt.points:
         return OcclusionReport(None, None, None, None, None, None)
 
-    masks = view_masks(gt)
+    if masks is None:
+        masks = view_masks(gt)
     full = sum(1 for mask in masks.values() if mask.bit_count() == gt.n_views)
     simple = 1.0 - full / len(masks)
 
@@ -469,7 +476,7 @@ class Scene:
 
     @cached_property
     def occlusion(self) -> OcclusionReport:
-        return occlusion_index(self.gt)
+        return occlusion_index(self.gt, self.gt_views)
 
     @cached_property
     def nameless(self) -> bool:
@@ -565,9 +572,6 @@ def evaluate_detailed(
 
     gt, alpha, policy = scene.gt, config.alpha, config.zero_tp_policy
     n_views, n_frames = scene.n_views, scene.n_frames
-    # the occlusion report first, so its working sets are freed before the
-    # view masks and the frame pairs are built
-    occlusion = scene.occlusion
     linked = scene.nameless
     if linked:
         pred = assign_temporal_ids(scene.pred, config)
@@ -607,6 +611,9 @@ def evaluate_detailed(
     corres_sums: list[tuple[int, int, int]] = []
     corres_values: list[float] = []
     distances: list[float] = []
+    # the occlusion report reads the ground truth's view masks, so it is taken
+    # where correspondence first needs them, not held through the view loop
+    occlusion = scene.occlusion
     columns, gt_views = scene._columns, scene.gt_views
     for f, column in enumerate(zip(*view_keys)):
         entry = columns.get(column)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .core import Dataset, Point, Role
@@ -50,12 +51,10 @@ class SynthConfig:
         ):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]")
-        if self.pred_fp_rate < 0:
-            raise ValueError("pred_fp_rate must be non-negative")
-        if self.pred_noise_sigma < 0:
-            raise ValueError("pred_noise_sigma must be non-negative")
-        if self.motion_amplitude < 0 or self.disparity < 0:
-            raise ValueError("motion_amplitude and disparity must be non-negative")
+        for name in ("pred_fp_rate", "pred_noise_sigma", "motion_amplitude", "disparity"):
+            # an integer beyond float range compares below inf but fails later
+            if not 0.0 <= getattr(self, name) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and non-negative")
         for name in ("image_width", "image_height"):
             try:
                 float(getattr(self, name))

@@ -86,6 +86,17 @@ def thresholded_matrix(n, m, pairs, image_dims):
     return tuple(map(tuple, rows))
 
 
+def kept_pairs(assignment, pairs):
+    """The cells of ``assignment`` that are within-radius pairs, as (r, c, d).
+
+    ``pairs`` holds (d, r, c) triples; every other cell of the thresholded
+    matrix costs the bound and is no match. Cells keep the assignment's
+    order.
+    """
+    distance = {(r, c): d for d, r, c in pairs}
+    return [(r, c, distance[r, c]) for r, c in assignment if (r, c) in distance]
+
+
 # ---------------------------------------------------------------------------
 # the plain loops that the fast matching kernels must reproduce bit for bit
 

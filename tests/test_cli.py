@@ -463,6 +463,17 @@ def test_synth_invalid_probability_fails_validation(tmp_path):
     assert "view_drop_prob" in result.stderr
 
 
+def test_synth_non_finite_rate_is_an_error(tmp_path):
+    # a NaN rate drew no false positive at all, where an infinite one drew
+    # thousands
+    result = run_cli("synth", "--frames", "3", "--points", "2", "--fp-rate", "nan", cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: ") and "pred_fp_rate" in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag", ["--width", "--height"])
 def test_synth_size_beyond_float_range_is_an_error(tmp_path, flag):
     result = run_cli("synth", "--frames", "2", flag, "1" + "0" * 400, cwd=tmp_path)

@@ -25,6 +25,7 @@ from mvteval.synth import SynthConfig, generate
 from oracles import (
     all_optimal_assignments,
     hungarian_reference,
+    kept_pairs,
     min_cost_assignment_by_permutations,
     near_pairs_oracle,
     thresholded_matrix,
@@ -144,7 +145,7 @@ def test_solver_lexicographic_on_tie_heavy_grid_matrices(gts, preds, alpha):
     got = minimize_cost(mat)
     assert total(mat, got) == best
     assert got == optima[0]
-    assert solve_assignment(len(gts), len(preds), pairs, DIMS) == optima[0]
+    assert solve_assignment(len(gts), len(preds), pairs, DIMS) == kept_pairs(optima[0], pairs)
 
 
 @st.composite
@@ -218,14 +219,19 @@ def pairs_beside_the_bound(draw):
 # with a pair-free column: the tie-break gives each row a pair-free column,
 # so the residual must keep as many of them as it has rows
 @example((2, 3, [(math.nextafter(math.hypot(*DIMS), 0), r, 2) for r in (0, 1)], False))
+# a pair at exactly the bound beside an isolated pair: row 1's bound-priced
+# fill-in lands on it and keeps it ...
+@example((2, 2, [(1.0, 0, 1), (math.hypot(*DIMS), 1, 0)], False))
+# ... or takes a smaller free column and misses it
+@example((2, 3, [(1.0, 0, 0), (math.hypot(*DIMS), 1, 2)], False))
 @settings(max_examples=600, deadline=None)
 def test_solve_assignment_equals_the_solver_on_thresholded_matrices(case):
     n, m, pairs, exhaustive = case
     mat = thresholded_matrix(n, m, pairs, DIMS)
     got = solve_assignment(n, m, pairs, DIMS)
-    assert got == minimize_cost(mat)
+    assert got == kept_pairs(minimize_cost(mat), pairs)
     if exhaustive and n <= 6 and m <= 6:
-        assert got == all_optimal_assignments(mat)[1][0]
+        assert got == kept_pairs(all_optimal_assignments(mat)[1][0], pairs)
 
 
 @given(mixed_points(max_points=15), mixed_points(max_points=15), RADII)
@@ -235,12 +241,14 @@ def test_solve_assignment_reaches_the_optimum_scipy_finds(gts, preds, alpha):
     n, m = len(gts), len(preds)
     pairs = near_pairs(gts, preds, alpha)
     got = solve_assignment(n, m, pairs, DIMS)
-    assert len(got) == min(n, m)
+    assert set(got) <= {(r, c, d) for d, r, c in pairs}
     if n and m:
         mat = thresholded_matrix(n, m, pairs, DIMS)
         rows, cols = optimize.linear_sum_assignment(mat)
         want = fsum(mat[r][c] for r, c in zip(rows, cols))
-        assert math.isclose(total(mat, got), want, rel_tol=1e-12)
+        # every row or column left out of the kept pairs takes a cell at the bound
+        kept = fsum([d for _, _, d in got]) + math.hypot(*DIMS) * (min(n, m) - len(got))
+        assert math.isclose(kept, want, rel_tol=1e-12)
 
 
 def test_solve_assignment_leaves_cells_just_below_the_bound_to_the_solver():
@@ -248,8 +256,8 @@ def test_solve_assignment_leaves_cells_just_below_the_bound_to_the_solver():
     # all-bound total, so the tie goes to the lexicographically smaller pairs
     pairs = [(math.nextafter(math.hypot(*DIMS), 0), 0, 1)]
     got = solve_assignment(2, 2, pairs, DIMS)
-    assert got == minimize_cost(thresholded_matrix(2, 2, pairs, DIMS))
-    assert got == ((0, 0), (1, 1))
+    assert got == kept_pairs(minimize_cost(thresholded_matrix(2, 2, pairs, DIMS)), pairs)
+    assert got == []  # the solver assigns (0, 0) and (1, 1), neither of them a pair
 
 
 def count_solves(monkeypatch):
@@ -482,7 +490,7 @@ def test_match_frame_empty_inputs():
     assert m.tp_pairs == () and m.fp_ids == ("p",) and m.fn_ids == ()
     m = match_frame([pt(1, 1, "g")], [], CONFIG, DIMS)
     assert m.tp_pairs == () and m.fp_ids == () and m.fn_ids == ("g",)
-    assert solve_assignment(0, 1, [], DIMS) == solve_assignment(1, 0, [], DIMS) == ()
+    assert solve_assignment(0, 1, [], DIMS) == solve_assignment(1, 0, [], DIMS) == []
 
 
 @st.composite
@@ -636,7 +644,9 @@ def test_linker_on_a_long_id_less_sequence_equals_the_dense_solver(monkeypatch):
     monkeypatch.setattr(
         matching,
         "solve_assignment",
-        lambda n, m, pairs, dims: minimize_cost(thresholded_matrix(n, m, pairs, dims)),
+        lambda n, m, pairs, dims: kept_pairs(
+            minimize_cost(thresholded_matrix(n, m, pairs, dims)), pairs
+        ),
     )
     dense = metrics.evaluate_detailed(gt, pred)
     assert fast.report == dense.report

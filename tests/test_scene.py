@@ -170,6 +170,15 @@ def test_a_sweep_relabels_and_measures_occlusion_once(tmp_path, monkeypatch, ass
     assert evaluations == {"evaluate_detailed": 7}  # the headline and six radii
 
 
+@pytest.mark.parametrize("strip_ids", [False, True])
+def test_a_fresh_evaluation_builds_the_ground_truths_view_masks_once(monkeypatch, strip_ids):
+    calls = count_calls(monkeypatch, metrics, "view_masks", "occlusion_index")
+    evaluate(*scene_pair(strip_ids=strip_ids))
+    # the occlusion report reads the scene's ground-truth masks; the other
+    # call builds the masks of the predictions, linked or as given
+    assert calls == {"view_masks": 2, "occlusion_index": 1}
+
+
 def assert_a_repeated_radius_makes_no_new_match(monkeypatch, gt, pred):
     scene = Scene(gt, pred, 12.0)
     calls = count_calls(monkeypatch, metrics, "match_frame")

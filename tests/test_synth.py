@@ -105,12 +105,18 @@ def test_gt_ids_are_shared_across_views():
         {"pred_miss_rate": -0.1},
         {"pred_noise_sigma": -1.0},
         {"pred_fp_rate": -2.0},
+        *(
+            {name: value}
+            for name in ("pred_fp_rate", "pred_noise_sigma", "motion_amplitude", "disparity")
+            for value in (math.nan, math.inf, 10**400)
+        ),
         {"image_width": 10**400},
         {"image_height": 10**400},
     ],
 )
 def test_invalid_configs_rejected(kwargs):
-    with pytest.raises(ValueError):
+    # the message names the field
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
         SynthConfig(**kwargs)
 
 
