@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 validation failure (geometry mismatch without
 --force, a pair that cannot be scored even with --force, invalid generator
 settings, a radius that is not positive and finite, an --alpha-sweep that
-is malformed, whose STEP cannot advance in floating point or that gives
-more than 10,000 radii), 2 unreadable or malformed input, or an output
-that cannot be written (then none is, and an output path that is a
-directory is refused before any is written).
+is malformed, that holds a radius rounding to 0 at 9 decimals, whose STEP
+cannot advance in floating point or that gives more than 10,000 radii), 2
+unreadable or malformed input, or an output that cannot be written (then
+none is, and an output path that is a directory is refused before any is
+written).
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
 """
@@ -108,7 +109,10 @@ def _parse_sweep(spec: str) -> list[float]:
     values = []
     current = lo
     while current <= hi + 1e-9:
-        values.append(round(current, 9))
+        radius = round(current, 9)
+        if radius == 0:
+            raise ValueError(f"--alpha-sweep radius {current:g} rounds to 0 at 9 decimals")
+        values.append(radius)
         if current + step == current:
             raise ValueError(f"--alpha-sweep STEP {step:g} is too small to advance from {current:g}")
         if len(values) > _SWEEP_LIMIT:

@@ -1,29 +1,25 @@
-"""Thresholded minimum-cost bipartite matching and its two uses.
+"""Thresholded maximum-gain bipartite matching and its two uses.
 
 A detection counts only within the detection radius, so both uses start
-from the sparse list of within-radius pairs. The objective they stand for
-prices each pair at its distance and every other (row, column) cell at the
-image diagonal, an upper bound on any true distance, so a complete
-assignment always exists. Cells assigned at the bound are not matches, so
-``solve_assignment`` reports only the pairs the assignment keeps; every
-point outside them is a miss or a spurious detection.
+from the sparse list of within-radius pairs, and the matching is defined
+on those pairs alone. With ``B`` the image diagonal, an upper bound on the
+distance between two points of the image, it keeps the injective set of
+pairs whose summed gain ``B - d`` is largest, compared exactly. That is a
+minimum-cost complete assignment with every other cell priced at ``B``.
+Whenever ``min(n, m) * alpha <= B`` it keeps as many pairs as possible and,
+of those, the ones with the least total distance. Every point outside the
+kept pairs is a miss or a spurious detection.
 
-Ties between optima are broken lexicographically by re-solving with one
-cell forced at a time. The optimal dual potentials of the first solve
-rule out every cell with a positive reduced cost, since by complementary
-slackness no optimal assignment uses one, so only the remaining tight
-cells are probed and the result is the same as probing them all.
-
-A within-radius pair that shares no point with another pair is in every
-optimum, so ``solve_assignment`` writes it down without a solve. Most
-frames need no solver at all: when every pair is isolated like that,
-every other cell costs exactly the bound, and the kept pairs are those
-pairs themselves, without building a matrix. The bound-priced cells that
-complete the assignment are walked only where a pair lies at exactly the
-image diagonal, since only there can one of them be a pair. Otherwise only
-the contested rest goes to the solver: the other rows, the columns that
-hold a pair, and as many of the interchangeable pair-free columns as
-there are rows (see its docstring for the argument).
+Ties go by content, not by file position. Every row and column has a key,
+and of the tied sets the one kept gives the rows, taken in key order, the
+smallest column keys. A key is a position ``(x, y)`` first and an id only
+after it: ``match_frame`` keys each point by its ``(x, y)``, then its id,
+and the linker keys its id-less points by ``(x, y)`` and its identities by
+their last position, then id. The rule splits by connected component of
+the graph the pairs form, so ``solve_assignment`` solves each component on
+its own. A point farther than the radius from every other, or one in
+another component, cannot move a match, and neither can the order of the
+input; renaming ids can only decide between points at one position.
 
 Both kernels are exact. ``near_pairs`` tests only the points in an x-sorted
 band around each row, and ``_hungarian`` scans only the columns not yet on
@@ -35,11 +31,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from math import fsum
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .core import Dataset, EvalConfig, Point, Role
 
@@ -130,8 +124,11 @@ def _hungarian(
     # each row is padded with a leading 0.0, so column j is a[i - 1][j]
 
     inf = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
+    # zeros of the matrix's type: an int matrix keeps int potentials, so
+    # every step is exact
+    zero = type(a[0][1])()
+    u = [zero] * (n + 1)
+    v = [zero] * (m + 1)
     match = [0] * (m + 1)  # 1-based row matched to each column, 0 = free
     way = [0] * (m + 1)
     for i in range(1, n + 1):
@@ -158,11 +155,11 @@ def _hungarian(
                 elif mj < delta:
                     delta = mj
                     j1 = j
-            # A zero delta changes nothing. u and v start at +0.0 and never
-            # hold -0.0, as a sum or difference is -0.0 only if an operand
-            # already is, so adding either zero leaves them as they are. A
-            # -0.0 delta would turn a -0.0 in minv into +0.0, but the two
-            # compare equal, and minv reaches u and v only as a delta
+            # A zero delta changes nothing. u and v start at +0.0 (or an int
+            # 0) and never hold -0.0, as a sum or difference is -0.0 only if
+            # an operand already is, so adding either zero leaves them as they
+            # are. A -0.0 delta would turn a -0.0 in minv into +0.0, but the
+            # two compare equal, and minv reaches u and v only as a delta
             if delta != 0.0:
                 for j in used:
                     u[match[j]] += delta
@@ -197,145 +194,154 @@ def _hungarian(
 
 
 def solve_assignment(
-    n: int, m: int, pairs: Sequence[tuple[float, int, int]], image_dims: tuple[int, int]
+    pairs: Sequence[tuple[float, int, int]],
+    image_dims: tuple[int, int],
+    row_key: Callable[[int], Any],
+    col_key: Callable[[int], Any],
 ) -> list[tuple[int, int, float]]:
-    """The pairs that the canonical assignment of n rows to m columns keeps.
+    """The canonical injective set of pairs, as ``(r, c, d)`` sorted by row.
 
     ``pairs`` holds each within-radius ``(d, r, c)`` as ``near_pairs`` gives
-    it, in any order; every other cell costs the image diagonal ``B``, as
-    does a pair at exactly ``d == B``. The result is the ``(r, c, d)`` of
-    each pair that the canonical assignment uses, sorted by row: the pair
-    cells of what ``minimize_cost`` returns on the dense n x m matrix. Its
-    other cells cost the bound and are no matches, so they are not listed.
+    it, in any order; rows and columns without a pair take no part. With
+    ``B`` the image diagonal, the result is the injective set of pairs that:
 
-    Call a pair isolated when it lies more than the tolerance ``1e-9 * (n +
-    m) * max(1, B)`` of ``minimize_cost`` below ``B`` and no other pair
-    below ``B``, even one within the tolerance, shares its row or its
-    column. When every pair below ``B`` is isolated, the result is written
-    down from the pairs without a solve. The closed form is exactly what
-    ``minimize_cost`` keeps on the dense matrix:
+    1. maximises the sum of ``B - d``, compared exactly, so a pair farther
+       apart than ``B`` is never kept;
+    2. of those, gives the rows, taken in the order of ``row_key``, the
+       smallest columns in the order of ``col_key``, a row without a pair
+       coming after every column.
 
-    1. Every optimum contains every isolated pair ``(r, c)``. Take a complete
-       assignment without it, pair ``r`` with ``c`` and pair their old
-       partners with each other. The cells given up cost ``B``, since no
-       other pair below ``B`` holds row ``r`` or column ``c``, and the new
-       cell between the old partners costs at most ``B``. The cost changes
-       by ``d - B`` if only one of ``r`` and ``c`` had a partner and by at
-       most ``d + B - 2B`` if both did. Both are negative.
-    2. Every other cell costs ``B`` exactly, so every completion of these
-       forced pairs has the same multiset of costs and the same ``fsum``.
-       All completions tie, and the lexicographically smallest one fills
-       the rows in order, each row without a forced pair taking the
-       smallest column that is neither forced nor taken, while one remains.
-       A row without a forced pair holds no pair below ``B``, so such a
-       fill-in lands on a pair only where that pair lies at exactly ``B``,
-       which takes a radius past the image diagonal. Only then are the
-       fill-ins walked.
-    3. The gap ``B - d`` exceeds the tolerance, which is far above one ulp
-       of the total, so the exact ``fsum`` comparisons of ``minimize_cost``
-       separate the same totals.
+    The gains add up over the connected components of the graph that the
+    pairs form, and the first row where two sets differ lies in one
+    component, so the rule picks each component's part on its own. Only a
+    component's own rows, columns and keys decide it, whatever else the
+    frame holds. Each component is solved by the cheapest means:
 
-    Otherwise the frame holds a conflict. The isolated pairs are still
-    written down, and ``minimize_cost`` solves only the rest: the other
-    rows against every untaken column that holds a pair below ``B`` and the
-    ``len(rows)`` smallest columns that hold none. Its result, merged with
-    the isolated pairs, is again what the dense matrix gives:
-
-    4. Isolated pairs are forced. The swap of step 1 looks only at row
-       ``r`` and column ``c``, so every optimum contains an isolated pair
-       whatever other pairs conflict, and the row-by-row rule of
-       ``minimize_cost`` picks ``c`` for ``r``.
-    5. Pair-free columns are interchangeable. Such a column costs ``B`` in
-       every row, so swapping a used one for a smaller unused one keeps the
-       total and gives a lexicographically smaller sequence. The rule
-       therefore only ever uses the ``len(rows)`` smallest of them.
-    6. The costs of the isolated pairs must enter every total, so they go
-       to ``minimize_cost`` as its ``fixed`` costs and each total is
-       rounded as the dense matrix's would be. Without them, the pairs
-       ``(141.42135623730948, 2, 0)``, ``(1.8135998598228724, 0, 1)`` and
-       ``(141.4213562373095, 1, 1)`` on 3 x 3 with ``B = hypot(100, 100)``
-       give ``((0, 1), (1, 0), (2, 2))``; the dense matrix gives
-       ``((0, 1), (1, 2), (2, 0))``.
+    - a single pair is kept;
+    - a star, whose pairs all share one row or one column, keeps its
+      nearest pair, a tie going to the smallest key;
+    - any other component goes to ``minimize_cost`` once, rows and columns
+      in key order, on exact integer costs (see ``_solve_component``). Each
+      row gets a private column at ``B`` after the pair columns, and every
+      other cell costs ``2B``. No optimum uses a cell at ``2B``: moving each
+      row on one to its own private column, which only such a row can hold,
+      lowers the total. The total is then ``B`` times the rows less the
+      gain, and a row on its private column is a row without a pair, so
+      ``minimize_cost``'s lexicographically smallest optimum is the rule's.
     """
     bound = math.hypot(image_dims[0], image_dims[1])
-    below = bound - 1e-9 * (n + m) * max(1.0, bound)
     kept: list[tuple[int, int, float]] = []
-    rows: set[int] = set()  # the rows and columns of the forced pairs
-    taken: set[int] = set()
-    at_bound: set[tuple[int, int]] = set()  # pairs that cost what any other cell costs
+    rows: set[int] = set()
+    cols: set[int] = set()
     for d, r, c in pairs:
-        if d == bound:
-            at_bound.add((r, c))
-            continue
-        if d >= below or r in rows or c in taken:
+        if r in rows or c in cols or d > bound:
             break
         kept.append((r, c, d))
         rows.add(r)
-        taken.add(c)
+        cols.add(c)
     else:
-        if at_bound:
-            # step 2's fill-ins, each kept where it lands on a pair
-            free = (c for c in range(m) if c not in taken)
-            for r in range(n):
-                if r not in rows:
-                    c = next(free, None)
-                    if c is None:
-                        break
-                    if (r, c) in at_bound:
-                        kept.append((r, c, bound))
+        # every pair is a component of its own
         kept.sort()
         return kept
-    # a conflict: write the isolated pairs down and solve only the rest
-    # (steps 4-6)
-    live = [(d, r, c) for d, r, c in pairs if d != bound]
-    row_pairs = Counter(r for _, r, _ in live)
-    col_pairs = Counter(c for _, _, c in live)
-    forced: dict[int, int] = {}
-    fixed: list[float] = []
-    for d, r, c in live:
-        if d < below and row_pairs[r] == 1 and col_pairs[c] == 1:
-            forced[r] = c
-            fixed.append(d)
-    rest = [r for r in range(n) if r not in forced]
-    taken = set(forced.values())
-    spare = (c for c in range(m) if c not in col_pairs)
-    cols = sorted([*(c for c in col_pairs if c not in taken), *islice(spare, len(rest))])
-    row_at = {r: i for i, r in enumerate(rest)}
+
+    row_pairs: dict[int, list[tuple[float, int, int]]] = {}
+    col_pairs: dict[int, list[tuple[float, int, int]]] = {}
+    for pair in pairs:
+        if pair[0] <= bound:
+            row_pairs.setdefault(pair[1], []).append(pair)
+            col_pairs.setdefault(pair[2], []).append(pair)
+    kept = []
+    reached: set[int] = set()  # the rows of every component walked so far
+    for start in row_pairs:
+        if start in reached:
+            continue
+        reached.add(start)
+        todo, edges, n_rows, cols = [start], [], 0, set()
+        while todo:
+            n_rows += 1
+            for pair in row_pairs[todo.pop()]:
+                edges.append(pair)
+                c = pair[2]
+                if c not in cols:
+                    cols.add(c)
+                    for _, r, _ in col_pairs[c]:
+                        if r not in reached:
+                            reached.add(r)
+                            todo.append(r)
+        if len(edges) == 1:
+            # a star too, but a lone pair needs no key call, and most
+            # components of a contested frame are lone pairs: this path saves
+            # about 4% of an untraced pass over the benchmark's id-less
+            # scenes (2-vCPU VM)
+            d, r, c = edges[0]
+            kept.append((r, c, d))
+        elif n_rows == 1 or len(cols) == 1:
+            least = min(d for d, _, _ in edges)
+            nearest = [(r, c) for d, r, c in edges if d == least]
+            if n_rows == 1:
+                r, c = min(nearest, key=lambda rc: col_key(rc[1]))
+            else:
+                r, c = min(nearest, key=lambda rc: row_key(rc[0]))
+            kept.append((r, c, least))
+        else:
+            kept.extend(_solve_component(edges, bound, row_key, col_key))
+    kept.sort()
+    return kept
+
+
+def _solve_component(
+    edges: list[tuple[float, int, int]],
+    bound: float,
+    row_key: Callable[[int], Any],
+    col_key: Callable[[int], Any],
+) -> list[tuple[int, int, float]]:
+    """The pairs ``minimize_cost`` keeps of one component (see ``solve_assignment``).
+
+    A float is an integer over a power of two, so scaling every cost by the
+    largest of those powers turns each into an exact int, and
+    ``minimize_cost`` solves an int matrix without round-off. Two sets
+    whose gains differ by less than a float solve's round-off, such as a
+    pair 1e-308 px apart beside pairs 1 px apart, are then still told apart.
+    """
+    rows = sorted({r for _, r, _ in edges}, key=row_key)
+    cols = sorted({c for _, _, c in edges}, key=col_key)
+    row_at = {r: i for i, r in enumerate(rows)}
     col_at = {c: j for j, c in enumerate(cols)}
-    sub = [[bound] * len(cols) for _ in rest]
-    for d, r, c in live:
-        if r not in forced:
-            sub[row_at[r]][col_at[c]] = d
-    solved = minimize_cost(sub, fixed)
-    distance = {(r, c): d for d, r, c in pairs}
-    return [
-        (r, c, distance[r, c])
-        for r, c in sorted([*forced.items(), *((rest[i], cols[j]) for i, j in solved)])
-        if (r, c) in distance
-    ]
+    ratios = [d.as_integer_ratio() for d, _, _ in edges]
+    bound_num, bound_den = bound.as_integer_ratio()
+    scale = max(bound_den, *[den for _, den in ratios])
+    price = bound_num * (scale // bound_den)
+    n_cols = len(cols)
+    matrix = [[2 * price] * (n_cols + len(rows)) for _ in rows]
+    for i, row in enumerate(matrix):
+        row[n_cols + i] = price
+    distance = {}
+    for (d, r, c), (num, den) in zip(edges, ratios):
+        i, j = row_at[r], col_at[c]
+        matrix[i][j] = num * (scale // den)
+        distance[i, j] = d
+    return [(rows[i], cols[j], distance[i, j]) for i, j in minimize_cost(matrix) if j < n_cols]
 
 
-def minimize_cost(
-    entries: Sequence[Sequence[float]], fixed: Sequence[float] = ()
-) -> tuple[tuple[int, int], ...]:
+def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
     """Canonical minimum-cost maximal assignment of any finite matrix.
 
     Among equal-cost optima the lexicographically smallest (row, col) pair
     sequence is returned, so repeated runs and platform changes cannot
     reshuffle tied matches.
 
-    ``fixed`` holds the costs of cells already assigned outside ``entries``,
-    as ``solve_assignment`` passes its isolated pairs. They are added to
-    the target and to every probe total, so each total is rounded exactly
-    as that of the whole matrix the cells came from; they change no
-    choice other than through that rounding.
-
     A first solve pins the optimal total, one optimal completion and an
     optimal dual ``(u, v)``. Rows are then fixed in order: columns smaller
     than the completion's choice are probed with a reduced solve, and the
-    first one that still reaches the total wins. Totals are compared as
-    exact correctly-rounded sums, so equal multisets of entries always
-    compare equal.
+    first one that still reaches the total wins. A probe reaches the total
+    when its cells, less those of the first solve, sum to zero.
+
+    On a matrix of ints every step is exact, so the result is the
+    lexicographically smallest of the exact optima. On any other matrix the
+    solves work in floats and the sum is an ``fsum``, which rounds a nonzero
+    sum of floats to a nonzero float; but where two assignments' totals
+    differ by less than the first solve's round-off it can pin the larger
+    one.
 
     Only columns that are tight under the dual are probed. The dual is
     feasible (no reduced cost ``entries[r][c] - u[r] - v[c]`` is negative)
@@ -344,11 +350,11 @@ def minimize_cost(
     contains a cell therefore costs at least the optimum plus that cell's
     reduced cost, so by complementary slackness no optimal assignment, with
     any rows already fixed, uses a cell whose reduced cost is positive, and
-    the probe of such a cell could only fail. The potentials carry float
-    round-off, so a cell counts as tight up to a tolerance of
+    the probe of such a cell could only fail. Float potentials carry
+    round-off, so there a cell counts as tight up to a tolerance of
     ``1e-9 * (n + m) * max(1, max |entry|)``, many orders of magnitude
-    above that round-off. A looser tolerance would only probe more cells,
-    never change the result.
+    above that round-off; int potentials are exact, and the tolerance is 0.
+    A looser tolerance would only probe more cells, never change the result.
     """
     n = len(entries)
     m = len(entries[0]) if n else 0
@@ -356,11 +362,15 @@ def minimize_cost(
         return ()
 
     base, u, v = _hungarian(entries, range(n), range(m))
-    target = fsum([*fixed, *(entries[r][c] for r, c in base)])
+    less_base = [-entries[r][c] for r, c in base]
     k = min(n, m)
-    tolerance = 1e-9 * (n + m) * max(1.0, max(max(map(abs, row)) for row in entries))
+    if all(type(x) is int for row in entries for x in row):
+        add, tolerance = sum, 0
+    else:
+        add = fsum
+        tolerance = 1e-9 * (n + m) * max(1.0, max(max(map(abs, row)) for row in entries))
 
-    # invariant: settled + current reaches the target; current covers rows > r
+    # invariant: settled + current reaches the total; current covers rows > r
     current = dict(base)
     settled: list[tuple[int, int]] = []
     used: set[int] = set()
@@ -379,13 +389,13 @@ def minimize_cost(
         free_cols = [c for c in range(m) if c not in used] if tight else []
         for c in tight:
             rest, _, _ = _hungarian(entries, range(r + 1, n), [x for x in free_cols if x != c])
-            total = fsum(
-                [*fixed]
+            excess = add(
+                less_base
                 + [entries[rr][cc] for rr, cc in settled]
                 + [entries[r][c]]
                 + [entries[rr][cc] for rr, cc in rest]
             )
-            if total == target:
+            if excess == 0:
                 chosen = c
                 current = dict(rest)
                 break
@@ -395,6 +405,12 @@ def minimize_cost(
         used.add(chosen)
 
     return tuple(settled)
+
+
+def _tie_key(p: Point) -> tuple[float, float, str]:
+    """A point's place in tie order: its position, then its id, with no id
+    counting as the empty string."""
+    return (p.x, p.y, p.id or "")
 
 
 def match_frame(
@@ -412,13 +428,18 @@ def match_frame(
     positives; every other point is a miss or a false detection. A caller
     that already holds the frame's within-radius pairs, as ``near_pairs``
     gives them and in any order, passes them as ``pairs``; ``config.alpha``
-    then goes unused. Each true positive keeps its pair's
-    distance, which is the true one even where the radius exceeds the
-    image diagonal and a pair lies farther apart than the bound.
+    then goes unused. Ties go by each point's ``(x, y)``, then by its id,
+    an id-less prediction ahead of a named one at the same place. Each true
+    positive keeps its pair's distance.
     """
     if pairs is None:
         pairs = near_pairs(gt_points, pred_points, config.alpha)
-    kept = solve_assignment(len(gt_points), len(pred_points), pairs, image_dims)
+    kept = solve_assignment(
+        pairs,
+        image_dims,
+        lambda r: _tie_key(gt_points[r]),
+        lambda c: _tie_key(pred_points[c]),
+    )
     fn_ids: tuple[str, ...] = ()
     if len(kept) < len(gt_points):
         tp_rows = {r for r, _, _ in kept}
@@ -442,8 +463,10 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
     Predictions that already carry an id pass through unchanged and still
     move their identity's last known position. Id-less points in each
     frame are matched against the last known positions of all identities
-    seen so far (not just the previous frame), so tracks survive gaps;
-    leftovers get fresh ids ``v{view}t{n}`` from a per-view counter that
+    seen so far (not just the previous frame), so tracks survive gaps.
+    Ties between identities go by their last position, then by id, and
+    id-less points take part in order of ``(x, y)``. Leftovers get fresh
+    ids ``v{view}t{n}``, in order of ``(x, y)``, from a per-view counter that
     skips every id the predictions carry, in any view, and ids already
     minted in the view. A minted id that another view's prediction carries
     would otherwise read as that point's presence in the other view and
@@ -472,9 +495,17 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
             near = near_pairs(nameless, [last[t] for t in candidates], config.alpha)
 
             ids: list[str | None] = [None] * len(nameless)
-            for r, c, _ in solve_assignment(len(nameless), len(candidates), near, dims):
+            for r, c, _ in solve_assignment(
+                near,
+                dims,
+                lambda r: _tie_key(nameless[r]),
+                # an identity's key is its last position, then its id
+                lambda c: (last[candidates[c]].x, last[candidates[c]].y, candidates[c]),
+            ):
                 ids[r] = candidates[c]
-            for r in range(len(ids)):
+            # leftovers are named in tie order, so no name depends on input order
+            leftovers = [r for r, t in enumerate(ids) if t is None]
+            for r in sorted(leftovers, key=lambda r: _tie_key(nameless[r])):
                 while ids[r] is None:
                     fresh = f"v{view}t{minted}"
                     minted += 1

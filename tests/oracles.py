@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from math import fsum
 
 from mvteval.core import Dataset, EvalConfig
@@ -86,15 +87,46 @@ def thresholded_matrix(n, m, pairs, image_dims):
     return tuple(map(tuple, rows))
 
 
-def kept_pairs(assignment, pairs):
-    """The cells of ``assignment`` that are within-radius pairs, as (r, c, d).
+def canonical_assignment(pairs, diagonal, row_key, col_key):
+    """The canonical injective set of within-radius pairs, by exhaustive search.
 
-    ``pairs`` holds (d, r, c) triples; every other cell of the thresholded
-    matrix costs the bound and is no match. Cells keep the assignment's
-    order.
+    ``pairs`` holds (d, r, c) triples. Of the injective sets of pairs, the
+    result maximises the summed gain (diagonal - d), added up as exact
+    fractions; of those, it gives the rows, taken in the order of
+    ``row_key``, the smallest columns in the order of ``col_key``, a row
+    left without a pair coming after every column. The search is a
+    recursion over the rows in key order, memoised on (row, used-column
+    mask), over the whole frame at once. Returns (r, c, d) sorted by row.
     """
-    distance = {(r, c): d for d, r, c in pairs}
-    return [(r, c, distance[r, c]) for r, c in assignment if (r, c) in distance]
+    bound = Fraction(diagonal)
+    rows = sorted({r for _, r, _ in pairs}, key=row_key)
+    cols = sorted({c for _, _, c in pairs}, key=col_key)
+    rank = {c: k for k, c in enumerate(cols)}
+    options = {r: [] for r in rows}
+    for d, r, c in pairs:
+        options[r].append((rank[c], d))
+    unmatched = len(cols)
+    memo = {}
+
+    def solve(i, used):
+        """(gain, column ranks of rows i.., kept (r, c, d)) of the best completion."""
+        if i == len(rows):
+            return Fraction(0), (), ()
+        if (i, used) in memo:
+            return memo[i, used]
+        gain, ranks, kept = solve(i + 1, used)
+        best = gain, (unmatched,) + ranks, kept
+        for k, d in options[rows[i]]:
+            if used >> k & 1:
+                continue
+            gain, ranks, kept = solve(i + 1, used | 1 << k)
+            candidate = (gain + bound - Fraction(d), (k,) + ranks, ((rows[i], cols[k], d),) + kept)
+            if candidate[0] > best[0] or (candidate[0] == best[0] and candidate[1] < best[1]):
+                best = candidate
+        memo[i, used] = best
+        return best
+
+    return sorted(solve(0, 0)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -196,56 +228,27 @@ def _distance(a, b):
 def oracle_match_frame(gt_points, pred_points, alpha, diagonal):
     """Frame-level matching by exhaustive search over sub-threshold pairs.
 
-    A complete minimum-cost assignment on the bounded matrix keeps exactly
-    the injective set of sub-threshold pairs maximising the summed gain
-    (diagonal - distance); everything else decomposes into misses and
-    spurious detections. The recursion below visits every such set, memoised
-    on (ground-truth index, used-prediction mask). Equal-gain ties prefer
-    the lexicographically smallest (gt index, pred index) sequence.
+    Tests every pair against ``alpha`` and keeps the canonical set of
+    ``canonical_assignment``, with ties ordered by each point's (x, y),
+    then its id, no id counting as the empty string; everything else
+    decomposes into misses and spurious detections.
     """
-    gains: list[list[tuple[int, float]]] = []
-    relevant: list[int] = []
-    for i, g in enumerate(gt_points):
-        row = []
-        for j, p in enumerate(pred_points):
-            d = _distance(g, p)
-            if d < alpha:
-                if j not in relevant:
-                    relevant.append(j)
-                row.append((j, diagonal - d))
-        gains.append(row)
-    relevant.sort()
-    bit = {j: 1 << k for k, j in enumerate(relevant)}
-
-    memo: dict[tuple[int, int], tuple[float, tuple]] = {}
-
-    def solve(i: int, mask: int) -> tuple[float, tuple]:
-        if i == len(gt_points):
-            return 0.0, ()
-        key = (i, mask)
-        if key in memo:
-            return memo[key]
-        best_gain, best_pairs = solve(i + 1, mask)  # gt i stays unmatched
-        for j, gain in gains[i]:
-            if mask & bit[j]:
-                continue
-            sub_gain, sub_pairs = solve(i + 1, mask | bit[j])
-            cand_gain = gain + sub_gain
-            cand_pairs = ((i, j),) + sub_pairs
-            if cand_gain > best_gain or (
-                cand_gain == best_gain and cand_pairs < best_pairs
-            ):
-                best_gain, best_pairs = cand_gain, cand_pairs
-        memo[key] = (best_gain, best_pairs)
-        return memo[key]
-
-    _, pairs = solve(0, 0)
-    rows = {i for i, _ in pairs}
-    cols = {j for _, j in pairs}
-    tp = [
-        (gt_points[i], pred_points[j], _distance(gt_points[i], pred_points[j]))
-        for i, j in pairs
+    pairs = [
+        (_distance(g, p), i, j)
+        for i, g in enumerate(gt_points)
+        for j, p in enumerate(pred_points)
+        if _distance(g, p) < alpha
     ]
+
+    def key(p):
+        return (p.x, p.y, p.id or "")
+
+    kept = canonical_assignment(
+        pairs, diagonal, lambda i: key(gt_points[i]), lambda j: key(pred_points[j])
+    )
+    rows = {i for i, _, _ in kept}
+    cols = {j for _, j, _ in kept}
+    tp = [(gt_points[i], pred_points[j], d) for i, j, d in kept]
     fn = [g for i, g in enumerate(gt_points) if i not in rows]
     fp = [p for j, p in enumerate(pred_points) if j not in cols]
     return tp, fp, fn

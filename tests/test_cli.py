@@ -255,6 +255,17 @@ def test_alpha_sweep_with_a_step_below_the_float_resolution_is_an_error(scene):
     assert result.stderr == "error: --alpha-sweep STEP 1 is too small to advance from 1e+17\n"
 
 
+def test_alpha_sweep_with_a_radius_rounding_to_zero_is_an_error(scene):
+    gt_path, pred_path = scene
+    # radii are rounded to 9 decimals, and a radius of 0 is no radius
+    result = run_cli(
+        "evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--alpha-sweep", "1e-10:1e-10:1"
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: --alpha-sweep radius 1e-10 rounds to 0 at 9 decimals\n"
+
+
 def test_parse_sweep_accepts_up_to_the_radius_limit():
     assert len(cli._parse_sweep(f"1:{cli._SWEEP_LIMIT}:1")) == cli._SWEEP_LIMIT
     with pytest.raises(ValueError, match=f"more than {cli._SWEEP_LIMIT} radii"):

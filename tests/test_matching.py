@@ -24,15 +24,26 @@ from mvteval.matching import (
 from mvteval.synth import SynthConfig, generate
 from oracles import (
     all_optimal_assignments,
+    canonical_assignment,
     hungarian_reference,
-    kept_pairs,
     min_cost_assignment_by_permutations,
     near_pairs_oracle,
+    oracle_match_frame,
     thresholded_matrix,
 )
 
 CONFIG = EvalConfig(alpha=6.0)
 DIMS = (100, 100)
+BOUND = math.hypot(*DIMS)
+
+
+def by_index(i):
+    return i
+
+
+def solve_by_index(pairs, dims=DIMS):
+    """``solve_assignment`` with rows and columns keyed by their index."""
+    return solve_assignment(pairs, dims, by_index, by_index)
 
 
 def pt(x, y, id=None, view=0, frame=0):
@@ -145,7 +156,7 @@ def test_solver_lexicographic_on_tie_heavy_grid_matrices(gts, preds, alpha):
     got = minimize_cost(mat)
     assert total(mat, got) == best
     assert got == optima[0]
-    assert solve_assignment(len(gts), len(preds), pairs, DIMS) == kept_pairs(optima[0], pairs)
+    assert solve_by_index(pairs) == canonical_assignment(pairs, BOUND, by_index, by_index)
 
 
 @st.composite
@@ -167,28 +178,19 @@ RADII = st.sampled_from([1.5, 2.5, 4.5, 30.0, 150.0])
 
 @st.composite
 def pairs_of_points(draw, max_points=8):
-    """(n, m, pairs, True): two point sets and their within-radius pairs in a
-    shuffled order, checked against the exhaustive optimum up to 6 x 6."""
+    """Within-radius pairs of two point sets, in a shuffled order."""
     gts, preds = draw(mixed_points(max_points)), draw(mixed_points(max_points))
-    alpha = draw(RADII)
-    return len(gts), len(preds), draw(st.permutations(near_pairs(gts, preds, alpha))), True
+    return draw(st.permutations(near_pairs(gts, preds, draw(RADII))))
 
 
 @st.composite
 def pairs_beside_the_bound(draw):
-    """(n, m, pairs, False) where a pair at exactly the bound shares a row or a
-    column with another pair; a dense matrix cannot tell it from a cell
-    outside the radius.
-
-    Cells one ulp below the bound can make ``minimize_cost`` miss the exact
-    optimum by an ulp, the defect the strict xfail above pins, so these
-    cases are compared with the solver only, not with the exhaustive optimum.
-    """
-    bound = math.hypot(*DIMS)
+    """Pairs at, one ulp below and far below the bound, where a pair at
+    exactly the bound, of gain 0, shares a row or a column with another."""
     n = draw(st.integers(1, 6))
     m = draw(st.integers(2 if n == 1 else 1, 6))
     distances = st.one_of(
-        st.sampled_from([1.0, 2.0, math.nextafter(bound, 0), bound]), st.floats(0, bound)
+        st.sampled_from([1.0, 2.0, math.nextafter(BOUND, 0), BOUND]), st.floats(0, BOUND)
     )
     cells = {}
     for _ in range(draw(st.integers(0, 6))):
@@ -196,42 +198,65 @@ def pairs_beside_the_bound(draw):
     r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
     cells[r, c] = draw(st.floats(0, 10))
     if n == 1 or (m > 1 and draw(st.booleans())):
-        cells[r, (c + draw(st.integers(1, m - 1))) % m] = bound
+        cells[r, (c + draw(st.integers(1, m - 1))) % m] = BOUND
     else:
-        cells[(r + draw(st.integers(1, n - 1))) % n, c] = bound
-    return n, m, draw(st.permutations([(d, r, c) for (r, c), d in cells.items()])), False
+        cells[(r + draw(st.integers(1, n - 1))) % n, c] = BOUND
+    return draw(st.permutations([(d, r, c) for (r, c), d in cells.items()]))
 
 
-# 15 points a side often leave more pair-free columns than rows to solve
-@given(st.one_of(pairs_of_points(), pairs_of_points(max_points=15), pairs_beside_the_bound()))
-# the isolated pair (0, 1) is written down, and its cost must still enter
-# every total: without it the residual's totals round differently and the
-# solver returns ((0, 1), (1, 0), (2, 2))
-@example(
-    (
-        3,
-        3,
-        [(141.42135623730948, 2, 0), (1.8135998598228724, 0, 1), (141.4213562373095, 1, 1)],
-        False,
+@st.composite
+def keyed(draw, pairs):
+    """(pairs, row key, column key), the keys ordering the rows and columns
+    of ``pairs`` at random."""
+    pairs = draw(pairs)
+    rows = sorted({r for _, r, _ in pairs})
+    cols = sorted({c for _, _, c in pairs})
+    row_keys = dict(zip(rows, draw(st.permutations(rows))))
+    col_keys = dict(zip(cols, draw(st.permutations(cols))))
+    return pairs, row_keys.__getitem__, col_keys.__getitem__
+
+
+# 15 points a side at the smaller radii: many components, some of them large
+@given(
+    keyed(
+        st.one_of(
+            pairs_of_points(),
+            pairs_of_points(max_points=15).filter(lambda pairs: len(pairs) <= 30),
+            pairs_beside_the_bound(),
+        )
     )
 )
-# both rows contest column 2 one ulp below the bound, where a pair ties
-# with a pair-free column: the tie-break gives each row a pair-free column,
-# so the residual must keep as many of them as it has rows
-@example((2, 3, [(math.nextafter(math.hypot(*DIMS), 0), r, 2) for r in (0, 1)], False))
-# a pair at exactly the bound beside an isolated pair: row 1's bound-priced
-# fill-in lands on it and keeps it ...
-@example((2, 2, [(1.0, 0, 1), (math.hypot(*DIMS), 1, 0)], False))
-# ... or takes a smaller free column and misses it
-@example((2, 3, [(1.0, 0, 0), (math.hypot(*DIMS), 1, 2)], False))
+# two rows contest a column one ulp below the bound: a star, whose tie goes
+# to the smaller row key without a solve
+@example(([(math.nextafter(BOUND, 0), r, 2) for r in (0, 1)], by_index, by_index))
+# a pair at exactly the bound gains nothing, but a row without a pair comes
+# after every column, so the pair is kept ...
+@example(([(1.0, 0, 1), (BOUND, 1, 0)], by_index, by_index))
+# ... and it decides a tie inside a component that needs a solve: keeping
+# (0, 0) and (1, 1) gains as much as keeping (0, 1) alone, whichever row
+# comes first
+@example(([(BOUND, 0, 0), (1.0, 0, 1), (1.0, 1, 1)], by_index, by_index))
+@example(([(BOUND, 0, 0), (1.0, 0, 1), (1.0, 1, 1)], lambda r: -r, by_index))
+# gains closer than a float solve's round-off: keeping (0, 2) and (2, 0)
+# gains 1e-308 more than keeping (0, 0) and (1, 2)
+@example(
+    (
+        [
+            (1.0, 2, 0),
+            (1.0, 0, 0),
+            (0.0, 0, 2),
+            (1.1125369292536007e-308, 1, 2),
+            (141.4213562373095, 2, 2),
+        ],
+        by_index,
+        by_index,
+    )
+)
 @settings(max_examples=600, deadline=None)
-def test_solve_assignment_equals_the_solver_on_thresholded_matrices(case):
-    n, m, pairs, exhaustive = case
-    mat = thresholded_matrix(n, m, pairs, DIMS)
-    got = solve_assignment(n, m, pairs, DIMS)
-    assert got == kept_pairs(minimize_cost(mat), pairs)
-    if exhaustive and n <= 6 and m <= 6:
-        assert got == kept_pairs(all_optimal_assignments(mat)[1][0], pairs)
+def test_solve_assignment_equals_the_oracle(case):
+    pairs, row_key, col_key = case
+    got = solve_assignment(pairs, DIMS, row_key, col_key)
+    assert got == canonical_assignment(pairs, BOUND, row_key, col_key)
 
 
 @given(mixed_points(max_points=15), mixed_points(max_points=15), RADII)
@@ -240,24 +265,32 @@ def test_solve_assignment_reaches_the_optimum_scipy_finds(gts, preds, alpha):
     optimize = pytest.importorskip("scipy.optimize")
     n, m = len(gts), len(preds)
     pairs = near_pairs(gts, preds, alpha)
-    got = solve_assignment(n, m, pairs, DIMS)
+    got = solve_by_index(pairs)
     assert set(got) <= {(r, c, d) for d, r, c in pairs}
     if n and m:
         mat = thresholded_matrix(n, m, pairs, DIMS)
         rows, cols = optimize.linear_sum_assignment(mat)
         want = fsum(mat[r][c] for r, c in zip(rows, cols))
         # every row or column left out of the kept pairs takes a cell at the bound
-        kept = fsum([d for _, _, d in got]) + math.hypot(*DIMS) * (min(n, m) - len(got))
+        kept = fsum([d for _, _, d in got]) + BOUND * (min(n, m) - len(got))
         assert math.isclose(kept, want, rel_tol=1e-12)
 
 
-def test_solve_assignment_leaves_cells_just_below_the_bound_to_the_solver():
-    # one ulp below the bound, the within-alpha cell's total rounds to the
-    # all-bound total, so the tie goes to the lexicographically smaller pairs
-    pairs = [(math.nextafter(math.hypot(*DIMS), 0), 0, 1)]
-    got = solve_assignment(2, 2, pairs, DIMS)
-    assert got == kept_pairs(minimize_cost(thresholded_matrix(2, 2, pairs, DIMS)), pairs)
-    assert got == []  # the solver assigns (0, 0) and (1, 1), neither of them a pair
+def test_solve_assignment_keeps_a_pair_just_below_the_bound():
+    # one ulp below the bound a pair's gain is tiny, but positive
+    pairs = [(math.nextafter(BOUND, 0), 0, 1)]
+    assert solve_by_index(pairs) == [(0, 1, pairs[0][0])]
+    assert solve_by_index(pairs) == canonical_assignment(pairs, BOUND, by_index, by_index)
+
+
+def test_a_solve_in_an_image_near_the_float_range_stays_finite():
+    # four rows contest two columns, so two rows keep no pair; as floats,
+    # their private columns at the 1e308 bound would sum past the float
+    # range, and as ints they sum exactly
+    gts = [pt(10, 10, "a"), pt(12, 12, "b"), pt(14, 10, "c"), pt(18, 10, "d")]
+    preds = [pt(12, 10, "p"), pt(16, 10, "q")]
+    m = match_frame(gts, preds, CONFIG, (10**308, 100))
+    assert m.tp_pairs == (("a", "p", 2.0), ("c", "q", 2.0))
 
 
 def count_solves(monkeypatch):
@@ -282,15 +315,26 @@ def count_solves(monkeypatch):
     return calls
 
 
+def oracle_tp_pairs(gts, preds):
+    """The (gt id, pred id, distance) of the oracle's true positives, in gt order."""
+    tp, _, _ = oracle_match_frame(gts, preds, CONFIG.alpha, BOUND)
+    return tuple((g.id, p.id, d) for g, p, d in tp)
+
+
 @pytest.mark.parametrize("swap", [False, True])
 def test_conflict_free_frame_needs_no_solve(monkeypatch, swap):
     calls = count_solves(monkeypatch)
     gts = [pt(10, 10, "a"), pt(40, 10, "b"), pt(10, 40, "c"), pt(60, 60, "missed")]
     preds = [pt(41, 11, "q"), pt(90, 90, "fp"), pt(12, 10, "p"), pt(10, 43, "r")]
     crowded = gts + [pt(14, 10, "d")]  # as close to p as a is
-    frames = [(gts, preds), (crowded, preds)]
+    chained = (crowded, preds + [pt(16, 10, "s")])  # as close to d as p is
+    frames = [(gts, preds), (crowded, preds), chained]
     if swap:
         frames = [(b, a) for a, b in frames]
+    for frame in frames:
+        assert match_frame(*frame, CONFIG, DIMS).tp_pairs == oracle_tp_pairs(*frame)
+    calls.update(solves=0, minimize=0, shapes=[])
+
     m = match_frame(*frames[0], CONFIG, DIMS)
     assert calls["solves"] == calls["minimize"] == 0
     assert m.tp == 3
@@ -299,13 +343,20 @@ def test_conflict_free_frame_needs_no_solve(monkeypatch, swap):
     }
     assert set(m.fn_ids) | set(m.fp_ids) == {"missed", "fp"}
 
-    # a conflict sends the solver only the residual: bq and cr are isolated
-    # and written down, so a, d and missed remain against p, the column a
-    # and d contest, and fp, the one pair-free column
+    # a and d contest p alone: a star, whose tie goes to the smaller (x, y)
+    # without a solve
     m = match_frame(*frames[1], CONFIG, DIMS)
-    assert calls["minimize"] == 1 and calls["solves"] > 0
-    assert calls["shapes"] == [(2, 3) if swap else (3, 2)]
-    assert m.tp == 3
+    assert calls["solves"] == calls["minimize"] == 0
+    assert {frozenset(pair[:2]) for pair in m.tp_pairs} == {
+        frozenset("ap"), frozenset("bq"), frozenset("cr")
+    }
+
+    # a, p, d and s form a chain, solved once on its own two rows and two
+    # columns, each row with a private column at the bound
+    m = match_frame(*frames[2], CONFIG, DIMS)
+    assert calls["minimize"] == 1
+    assert calls["shapes"] == [(2, 4)]
+    assert m.tp == 4
 
 
 @pytest.mark.parametrize("strip_ids", [False, True])
@@ -451,6 +502,68 @@ def test_match_frame_prefers_closest_prediction():
     assert m.fp_ids == ("far",)
 
 
+@pytest.mark.parametrize(
+    "gts, preds, want",
+    [
+        ([pt(10, 10, "a"), pt(14, 10, "b")], [pt(600, 400, "far"), pt(12, 10, "p")], "a"),
+        ([pt(14, 10, "b"), pt(10, 10, "a")], [pt(12, 10, "p")], "a"),
+        ([pt(10, 10, "b"), pt(14, 10, "a")], [pt(12, 10, "p")], "b"),
+    ],
+    ids=["far-prediction-first", "b-listed-first", "ids-swapped"],
+)
+def test_a_tie_goes_by_position_whatever_else_the_frame_holds(gts, preds, want):
+    # the points at (10, 10) and (14, 10) lie 2 px either side of p: the one
+    # at the smaller x takes it, whether a false positive far from both is
+    # listed first, the other is, or the two swap ids
+    m = match_frame(gts, preds, CONFIG, (640, 480))
+    assert m.tp_pairs == ((want, "p", 2.0),)
+
+
+def test_the_linker_breaks_a_tie_between_identities_by_last_position():
+    # z and a were last seen 2 px either side of the id-less point: the
+    # identity last seen at the smaller x takes it, whatever the ids' order
+    pred = Dataset(
+        1,
+        2,
+        *DIMS,
+        (pt(10, 10, "z"), pt(14, 10, "a"), pt(12, 10, None, frame=1)),
+        Role.PREDICTION,
+    )
+    linked = assign_temporal_ids(pred, CONFIG)
+    assert linked.at(0, 1)[0].id == "z"
+
+
+@st.composite
+def tie_heavy_frames(draw):
+    """(gts, preds, alpha) on a 7 x 7 integer grid, where many distances tie
+    and points may coincide, predictions among them. Ids come in an order
+    unrelated to the points', and any of the predictions may have none."""
+    cell = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    gt_cells = draw(st.lists(cell, max_size=7))
+    pred_cells = draw(
+        st.lists(st.one_of(cell, st.sampled_from(gt_cells)) if gt_cells else cell, max_size=7)
+    )
+    gt_ids = draw(st.permutations([f"g{i}" for i in range(len(gt_cells))]))
+    pred_ids = [
+        None if draw(st.booleans()) else i
+        for i in draw(st.permutations([f"p{i}" for i in range(len(pred_cells))]))
+    ]
+    gts = [pt(x, y, i) for (x, y), i in zip(gt_cells, gt_ids)]
+    preds = [pt(x, y, i) for (x, y), i in zip(pred_cells, pred_ids)]
+    return gts, preds, draw(st.sampled_from([1.5, 2.5, 3.5]))
+
+
+@given(tie_heavy_frames())
+@settings(max_examples=400, deadline=None)
+def test_match_frame_equals_the_oracle_on_tie_heavy_grids(case):
+    gts, preds, alpha = case
+    m = match_frame(gts, preds, EvalConfig(alpha=alpha), DIMS)
+    tp, fp, fn = oracle_match_frame(gts, preds, alpha, BOUND)
+    assert m.tp_pairs == tuple((g.id, p.id, d) for g, p, d in tp)
+    assert m.fp_ids == tuple(p.id for p in fp)
+    assert m.fn_ids == tuple(g.id for g in fn)
+
+
 def test_match_frame_radius_beyond_the_diagonal(monkeypatch):
     # opposite corners sit exactly one diagonal apart, a true distance below
     # this radius; a point outside the image is farther than the bound
@@ -490,7 +603,7 @@ def test_match_frame_empty_inputs():
     assert m.tp_pairs == () and m.fp_ids == ("p",) and m.fn_ids == ()
     m = match_frame([pt(1, 1, "g")], [], CONFIG, DIMS)
     assert m.tp_pairs == () and m.fp_ids == () and m.fn_ids == ("g",)
-    assert solve_assignment(0, 1, [], DIMS) == solve_assignment(1, 0, [], DIMS) == []
+    assert solve_by_index([]) == []
 
 
 @st.composite
@@ -622,9 +735,9 @@ def test_fresh_ids_avoid_another_views_ids(other_id):
     assert report.mv_hota == pytest.approx(0.693, abs=5e-4)
 
 
-def test_linker_on_a_long_id_less_sequence_equals_the_dense_solver(monkeypatch):
-    # each linker matrix spans every identity seen so far in its view, so
-    # most of its columns hold no pair and most of its pairs are isolated
+def test_linker_on_a_long_id_less_sequence_equals_the_oracle(monkeypatch):
+    # each linker frame faces every identity seen so far in its view, most
+    # of them out of reach, so most of its pairs are components of their own
     gt, pred = generate(
         SynthConfig(
             n_views=2,
@@ -644,14 +757,14 @@ def test_linker_on_a_long_id_less_sequence_equals_the_dense_solver(monkeypatch):
     monkeypatch.setattr(
         matching,
         "solve_assignment",
-        lambda n, m, pairs, dims: kept_pairs(
-            minimize_cost(thresholded_matrix(n, m, pairs, dims)), pairs
+        lambda pairs, dims, row_key, col_key: canonical_assignment(
+            pairs, math.hypot(*dims), row_key, col_key
         ),
     )
-    dense = metrics.evaluate_detailed(gt, pred)
-    assert fast.report == dense.report
-    assert fast.matches == dense.matches
-    assert fast.pred_with_ids.points == dense.pred_with_ids.points
+    searched = metrics.evaluate_detailed(gt, pred)
+    assert fast.report == searched.report
+    assert fast.matches == searched.matches
+    assert fast.pred_with_ids.points == searched.pred_with_ids.points
 
 
 def test_assignment_is_deterministic():

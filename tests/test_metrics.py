@@ -785,6 +785,124 @@ def test_doubling_the_scale_doubles_only_the_localisation_error(scene, strip_ids
     assert _pooled(big) == _pooled(replace(report, loc_acc=big.loc_acc))
 
 
+def tie_prone(scene, strip_ids, snap, width=None):
+    """A crowded scene, its prediction ids stripped or kept, its coordinates
+    snapped to multiples of ``snap`` pixels (or left as they are when it is
+    0) and its image widened to ``width``. Snapped points often tie for a
+    partner and sometimes coincide."""
+    gt, pred = scene
+    return tuple(
+        Dataset(
+            ds.n_views,
+            ds.n_frames,
+            width or ds.image_width,
+            ds.image_height,
+            tuple(
+                replace(
+                    p,
+                    x=snap * round(p.x / snap) if snap else p.x,
+                    y=snap * round(p.y / snap) if snap else p.y,
+                    id=None if strip_ids and ds.role is Role.PREDICTION else p.id,
+                )
+                for p in ds.points
+            ),
+            ds.role,
+        )
+        for ds in (gt, pred)
+    )
+
+
+SNAPS = st.sampled_from([0, 2, 4])
+
+
+@given(crowded_scenes(), st.booleans(), SNAPS, st.booleans(), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_permuting_the_points_of_each_frame_leaves_the_report_unchanged(
+    scene, strip_ids, snap, per_class, rng
+):
+    gt, pred = tie_prone(scene, strip_ids, snap)
+    shuffled = []
+    for ds in (gt, pred):
+        points = list(ds.points)
+        rng.shuffle(points)
+        shuffled.append(ds.with_points(points))
+    config = EvalConfig(alpha=6.0, per_class=per_class)
+    assert evaluate(*shuffled, config).to_dict() == evaluate(gt, pred, config).to_dict()
+
+
+def matches_by_position(result, named):
+    """Each frame's true positives as (gt id, pred id, pred x, pred y, distance).
+
+    Without ``named`` the pred id is left out: an added point takes an id
+    the linker would have given a later point, so linked ids shift, and the
+    position names the prediction instead.
+    """
+    where = {
+        (p.view, p.frame, p.id): (p.id if named else None, p.x, p.y)
+        for p in result.pred_with_ids.points
+    }
+    return [
+        [(g, *where[m.view, m.frame, p], d) for g, p, d in m.tp_pairs] for m in result.matches
+    ]
+
+
+@given(
+    crowded_scenes(),
+    st.booleans(),
+    SNAPS,
+    st.sampled_from([Role.GROUND_TRUTH, Role.PREDICTION]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_a_far_point_leaves_every_other_match_unchanged(scene, strip_ids, snap, role, data):
+    # the image is widened to three times its width, and the added point,
+    # listed first, sits past every other point by more than the radius
+    gt, pred = tie_prone(scene, strip_ids, snap, width=3 * scene[0].image_width)
+    view = data.draw(st.integers(0, gt.n_views - 1))
+    frame = data.draw(st.integers(0, gt.n_frames - 1))
+    far = Point(
+        view=view,
+        frame=frame,
+        x=gt.image_width,
+        y=0.0,
+        id=None if strip_ids and role is Role.PREDICTION else "far",
+    )
+    grown_gt, grown_pred = (
+        ds.with_points([far, *ds.points]) if ds.role is role else ds for ds in (gt, pred)
+    )
+    before = evaluate_detailed(gt, pred, CONFIG)
+    after = evaluate_detailed(grown_gt, grown_pred, CONFIG)
+    assert matches_by_position(after, not strip_ids) == matches_by_position(before, not strip_ids)
+
+
+def without_coincident_points(ds):
+    """``ds`` keeping, of the points at one place in one frame, the first."""
+    seen = set()
+    kept = []
+    for p in ds.points:
+        if (p.view, p.frame, p.x, p.y) not in seen:
+            seen.add((p.view, p.frame, p.x, p.y))
+            kept.append(p)
+    return ds.with_points(kept)
+
+
+@given(crowded_scenes(), st.booleans(), st.sampled_from([2, 4]), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_renaming_ids_moves_no_tie(scene, strip_ids, snap, per_class, data):
+    # ties go by position, and an id decides one only between points at one
+    # place; with every prediction named, or none, the linker meets no id
+    # that the renaming changes
+    gt, pred = (without_coincident_points(ds) for ds in tie_prone(scene, strip_ids, snap))
+    gt_names = data.draw(renamings({p.id for p in gt.points}))
+    pred_names = data.draw(renamings({p.id for p in pred.points} - {None}))
+    renamed_gt = gt.with_points(replace(p, id=gt_names[p.id]) for p in gt.points)
+    renamed_pred = pred.with_points(replace(p, id=pred_names.get(p.id)) for p in pred.points)
+    config = EvalConfig(alpha=6.0, per_class=per_class)
+    assert evaluate(renamed_gt, renamed_pred, config).to_dict() == evaluate(
+        gt, pred, config
+    ).to_dict()
+
+
 @given(crowded_scenes(), st.booleans(), st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_pooled_scores_agree_with_the_per_view_and_per_tp_ones(scene, per_class, strip_ids):
