@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import fsum
 from typing import Any, Callable, Sequence
 
 from .core import Dataset, EvalConfig, Point, Role
@@ -221,13 +220,13 @@ def solve_assignment(
     - a star, whose pairs all share one row or one column, keeps its
       nearest pair, a tie going to the smallest key;
     - any other component goes to ``minimize_cost`` once, rows and columns
-      in key order, on exact integer costs (see ``_solve_component``). Each
-      row gets a private column at ``B`` after the pair columns, and every
-      other cell costs ``2B``. No optimum uses a cell at ``2B``: moving each
-      row on one to its own private column, which only such a row can hold,
-      lowers the total. The total is then ``B`` times the rows less the
-      gain, and a row on its private column is a row without a pair, so
-      ``minimize_cost``'s lexicographically smallest optimum is the rule's.
+      in key order. Each row gets a private column at ``B`` after the pair
+      columns, and every other cell costs the least int above ``B``. No
+      optimum uses such a cell: moving each row on one to its own private
+      column, which only such a row can hold, lowers the total. The total
+      is then ``B`` times the rows less the gain, and a row on its private
+      column is a row without a pair, so ``minimize_cost``'s exact,
+      lexicographically smallest optimum is the rule's.
     """
     bound = math.hypot(image_dims[0], image_dims[1])
     kept: list[tuple[int, int, float]] = []
@@ -295,40 +294,33 @@ def _solve_component(
     row_key: Callable[[int], Any],
     col_key: Callable[[int], Any],
 ) -> list[tuple[int, int, float]]:
-    """The pairs ``minimize_cost`` keeps of one component (see ``solve_assignment``).
-
-    A float is an integer over a power of two, so scaling every cost by the
-    largest of those powers turns each into an exact int, and
-    ``minimize_cost`` solves an int matrix without round-off. Two sets
-    whose gains differ by less than a float solve's round-off, such as a
-    pair 1e-308 px apart beside pairs 1 px apart, are then still told apart.
-    """
+    """The pairs ``minimize_cost`` keeps of one component (see ``solve_assignment``)."""
     rows = sorted({r for _, r, _ in edges}, key=row_key)
     cols = sorted({c for _, _, c in edges}, key=col_key)
     row_at = {r: i for i, r in enumerate(rows)}
     col_at = {c: j for j, c in enumerate(cols)}
-    ratios = [d.as_integer_ratio() for d, _, _ in edges]
-    bound_num, bound_den = bound.as_integer_ratio()
-    scale = max(bound_den, *[den for _, den in ratios])
-    price = bound_num * (scale // bound_den)
     n_cols = len(cols)
-    matrix = [[2 * price] * (n_cols + len(rows)) for _ in rows]
+    # any price above the bound keeps a row off the cell; an int one cannot
+    # overflow, however large the image
+    above = math.floor(bound) + 1
+    matrix = [[above] * (n_cols + len(rows)) for _ in rows]
     for i, row in enumerate(matrix):
-        row[n_cols + i] = price
-    distance = {}
-    for (d, r, c), (num, den) in zip(edges, ratios):
-        i, j = row_at[r], col_at[c]
-        matrix[i][j] = num * (scale // den)
-        distance[i, j] = d
-    return [(rows[i], cols[j], distance[i, j]) for i, j in minimize_cost(matrix) if j < n_cols]
+        row[n_cols + i] = bound
+    for d, r, c in edges:
+        matrix[row_at[r]][col_at[c]] = d
+    return [(rows[i], cols[j], matrix[i][j]) for i, j in minimize_cost(matrix) if j < n_cols]
 
 
 def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
     """Canonical minimum-cost maximal assignment of any finite matrix.
 
-    Among equal-cost optima the lexicographically smallest (row, col) pair
-    sequence is returned, so repeated runs and platform changes cannot
-    reshuffle tied matches.
+    The result is exact on every matrix of ints and floats: of the
+    assignments with the least total, summed without rounding, it is the
+    one whose (row, col) pair sequence is lexicographically smallest, so
+    repeated runs and platform changes cannot reshuffle tied matches. A
+    float is an int over a power of two, so a matrix holding any float is
+    first scaled once by the largest denominator of its entries, which
+    turns every entry into an exact int and keeps every ordering of sums.
 
     A first solve pins the optimal total, one optimal completion and an
     optimal dual ``(u, v)``. Rows are then fixed in order: columns smaller
@@ -336,39 +328,28 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], 
     first one that still reaches the total wins. A probe reaches the total
     when its cells, less those of the first solve, sum to zero.
 
-    On a matrix of ints every step is exact, so the result is the
-    lexicographically smallest of the exact optima. On any other matrix the
-    solves work in floats and the sum is an ``fsum``, which rounds a nonzero
-    sum of floats to a nonzero float; but where two assignments' totals
-    differ by less than the first solve's round-off it can pin the larger
-    one.
-
-    Only columns that are tight under the dual are probed. The dual is
-    feasible (no reduced cost ``entries[r][c] - u[r] - v[c]`` is negative)
-    and the potentials of the longer side are at most zero, zero where the
-    first solve leaves that side unassigned. Any complete assignment that
-    contains a cell therefore costs at least the optimum plus that cell's
-    reduced cost, so by complementary slackness no optimal assignment, with
-    any rows already fixed, uses a cell whose reduced cost is positive, and
-    the probe of such a cell could only fail. Float potentials carry
-    round-off, so there a cell counts as tight up to a tolerance of
-    ``1e-9 * (n + m) * max(1, max |entry|)``, many orders of magnitude
-    above that round-off; int potentials are exact, and the tolerance is 0.
-    A looser tolerance would only probe more cells, never change the result.
+    Only columns that are tight under the dual, with a reduced cost
+    ``entries[r][c] - u[r] - v[c]`` of exactly zero, are probed. The dual
+    is feasible (no reduced cost is negative) and the potentials of the
+    longer side are at most zero, zero where the first solve leaves that
+    side unassigned. Any complete assignment that contains a cell therefore
+    costs at least the optimum plus that cell's reduced cost, so by
+    complementary slackness no optimal assignment, with any rows already
+    fixed, uses a cell whose reduced cost is positive, and the probe of
+    such a cell could only fail.
     """
     n = len(entries)
     m = len(entries[0]) if n else 0
     if n == 0 or m == 0:
         return ()
+    if not all(type(x) is int for row in entries for x in row):
+        ratios = [[x.as_integer_ratio() for x in row] for row in entries]
+        scale = max(den for row in ratios for _, den in row)
+        entries = [[num * (scale // den) for num, den in row] for row in ratios]
 
     base, u, v = _hungarian(entries, range(n), range(m))
     less_base = [-entries[r][c] for r, c in base]
     k = min(n, m)
-    if all(type(x) is int for row in entries for x in row):
-        add, tolerance = sum, 0
-    else:
-        add = fsum
-        tolerance = 1e-9 * (n + m) * max(1.0, max(max(map(abs, row)) for row in entries))
 
     # invariant: settled + current reaches the total; current covers rows > r
     current = dict(base)
@@ -384,12 +365,12 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], 
         tight = [
             c
             for c in range(m if fallback is None else fallback)
-            if c not in used and row[c] - ur - v[c] <= tolerance
+            if c not in used and row[c] - ur - v[c] == 0
         ]
         free_cols = [c for c in range(m) if c not in used] if tight else []
         for c in tight:
             rest, _, _ = _hungarian(entries, range(r + 1, n), [x for x in free_cols if x != c])
-            excess = add(
+            excess = sum(
                 less_base
                 + [entries[rr][cc] for rr, cc in settled]
                 + [entries[r][c]]

@@ -352,7 +352,7 @@ def idf1(n_gt: int, n_pred: int, hits: Counter[tuple[str, str]]) -> float | None
     if hits:
         gt_order = sorted({g for g, _ in hits})
         pred_order = sorted({p for _, p in hits})
-        ceiling = float(max(hits.values()))
+        ceiling = max(hits.values())
         # .get, not hits[...]: a Counter's missing key costs a Python call
         get = hits.get
         costs = tuple(tuple(ceiling - get((g, p), 0) for p in pred_order) for g in gt_order)
@@ -391,13 +391,15 @@ def occlusion_index(
         w_values = []
         t_values = []
         for gid in ids:
-            acc = 0.0
+            # an int sum of view counts, divided once, rounds alike in every
+            # frame order
+            acc = 0
             seen = 0
             for mask in tracks[gid]:
                 if mask >> v & 1:
-                    acc += mask.bit_count() / m
+                    acc += mask.bit_count()
                     seen += 1
-            w_values.append(1.0 - acc / n)
+            w_values.append(1.0 - acc / (m * n))
             t_values.append(1.0 - seen / n)
         weighted.append(fsum(w_values) / len(w_values))
         temporal.append(fsum(t_values) / len(t_values))

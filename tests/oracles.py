@@ -56,20 +56,24 @@ def min_cost_assignment_by_permutations(matrix):
 
 
 def all_optimal_assignments(matrix):
-    """Every maximal assignment reaching the minimum total cost."""
+    """Every maximal assignment reaching the minimum total cost.
+
+    Returns (total, sorted pairs of every optimum). Totals are summed as
+    exact fractions, so two assignments tie only when their sums are equal.
+    """
     n = len(matrix)
     m = len(matrix[0]) if n else 0
     if n == 0 or m == 0:
-        return 0.0, [()]
+        return Fraction(0), [()]
     costs = {}
     if n <= m:
         for cols in itertools.permutations(range(m), n):
             pairs = tuple((i, cols[i]) for i in range(n))
-            costs[pairs] = fsum(matrix[i][j] for i, j in pairs)
+            costs[pairs] = sum(Fraction(matrix[i][j]) for i, j in pairs)
     else:
         for rows in itertools.permutations(range(n), m):
             pairs = tuple(sorted((rows[j], j) for j in range(m)))
-            costs[pairs] = fsum(matrix[i][j] for i, j in pairs)
+            costs[pairs] = sum(Fraction(matrix[i][j]) for i, j in pairs)
     best = min(costs.values())
     return best, sorted(p for p, c in costs.items() if c == best)
 

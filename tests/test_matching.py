@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import random
+from fractions import Fraction
 from math import fsum
 
 import pytest
@@ -54,6 +55,10 @@ def total(matrix, pairs):
     return fsum(matrix[r][c] for r, c in pairs)
 
 
+def exact_total(matrix, pairs):
+    return sum(Fraction(matrix[r][c]) for r, c in pairs)
+
+
 # ---------------------------------------------------------------------------
 # solver
 
@@ -79,6 +84,16 @@ def test_solver_equals_permutation_enumeration(shape):
         assert got == want_pairs
 
 
+# found by test_solver_optimality_property: a solve in floats could not
+# see the 1.5e-76 cell, and it pinned a total that is not the least
+FOUND_BELOW_THE_POTENTIALS_RESOLUTION = (
+    (0, 0, 255, 0),
+    (0, 0, 254.8458709117612, 0),
+    (1.5219710646900248e-76, 1.7242963896769368, 257, 2),
+    (0, 1.7242963896769368, 257, 2),
+)
+
+
 @given(
     st.integers(1, 7).flatmap(
         lambda n: st.integers(1, 7).flatmap(
@@ -94,6 +109,7 @@ def test_solver_equals_permutation_enumeration(shape):
         )
     )
 )
+@example(FOUND_BELOW_THE_POTENTIALS_RESOLUTION)
 @settings(max_examples=300, deadline=None)
 def test_solver_optimality_property(rows):
     mat = tuple(tuple(row) for row in rows)
@@ -101,19 +117,8 @@ def test_solver_optimality_property(rows):
     assert total(mat, minimize_cost(mat)) == want_cost
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the float potentials cannot see the 1.5e-76 cell, and the "
-    "tie-break accepts only totals equal to the first solve's, so the smaller fsum is missed",
-)
 def test_solver_finds_an_optimum_below_the_potentials_resolution():
-    # found by test_solver_optimality_property
-    rows = (
-        (0, 0, 255, 0),
-        (0, 0, 254.8458709117612, 0),
-        (1.5219710646900248e-76, 1.7242963896769368, 257, 2),
-        (0, 1.7242963896769368, 257, 2),
-    )
+    rows = FOUND_BELOW_THE_POTENTIALS_RESOLUTION
     want_cost, _ = min_cost_assignment_by_permutations(rows)
     assert want_cost == 256.5701673014381
     assert total(rows, minimize_cost(rows)) == want_cost
@@ -135,7 +140,38 @@ def test_solver_returns_lexicographically_smallest_optimum(rows):
     mat = tuple(tuple(float(x) for x in row) for row in rows)
     got = minimize_cost(mat)
     best, optima = all_optimal_assignments(mat)
-    assert total(mat, got) == best
+    assert exact_total(mat, got) == best
+    assert got == optima[0]
+
+
+# a float is a mantissa times a power of two: exponents from deep below the
+# unit up to 2**8 put gains far apart in scale beside one another
+DYADIC = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 255.0]),
+    st.builds(
+        lambda mantissa, k: math.ldexp(mantissa, k),
+        st.one_of(st.integers(1, 3), st.integers(1, 2**53 - 1)),
+        st.integers(-300, 8),
+    ),
+)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.integers(1, 5).flatmap(
+            lambda m: st.lists(
+                st.lists(DYADIC, min_size=m, max_size=m), min_size=n, max_size=n
+            )
+        )
+    )
+)
+# a total one unit in the last place above the optimum's rounds to it
+@example([[1.0, 2.0**-54], [1.0, 0.0]])
+@settings(max_examples=300, deadline=None)
+def test_solver_returns_the_exact_lexicographically_first_optimum_of_a_float_matrix(rows):
+    got = minimize_cost(rows)
+    best, optima = all_optimal_assignments(rows)
+    assert exact_total(rows, got) == best
     assert got == optima[0]
 
 
@@ -154,7 +190,7 @@ def test_solver_lexicographic_on_tie_heavy_grid_matrices(gts, preds, alpha):
     mat = thresholded_matrix(len(gts), len(preds), pairs, DIMS)
     best, optima = all_optimal_assignments(mat)
     got = minimize_cost(mat)
-    assert total(mat, got) == best
+    assert exact_total(mat, got) == best
     assert got == optima[0]
     assert solve_by_index(pairs) == canonical_assignment(pairs, BOUND, by_index, by_index)
 

@@ -663,11 +663,11 @@ LABELS = ("a", "b", None)
 
 
 @st.composite
-def crowded_scenes(draw):
+def crowded_scenes(draw, n_views=st.integers(1, 3)):
     """A small, crowded synth scene with class labels spread over its points."""
     gt, pred = generate(
         SynthConfig(
-            n_views=draw(st.integers(1, 3)),
+            n_views=draw(n_views),
             n_frames=draw(st.integers(1, 5)),
             n_points=draw(st.integers(1, 6)),
             image_width=64,
@@ -828,6 +828,62 @@ def test_permuting_the_points_of_each_frame_leaves_the_report_unchanged(
         shuffled.append(ds.with_points(points))
     config = EvalConfig(alpha=6.0, per_class=per_class)
     assert evaluate(*shuffled, config).to_dict() == evaluate(gt, pred, config).to_dict()
+
+
+def reversed_frames(ds):
+    """``ds`` with its frames in reverse order."""
+    last = ds.n_frames - 1
+    return ds.with_points(replace(p, frame=last - p.frame) for p in ds.points)
+
+
+@given(crowded_scenes(), SNAPS, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_reversing_the_frames_leaves_the_report_unchanged(scene, snap, per_class):
+    # with prediction ids supplied no linker runs, and no score depends on
+    # the direction of time; id-less input is the documented exception
+    # (ROADMAP item 17)
+    gt, pred = tie_prone(scene, False, snap)
+    config = EvalConfig(alpha=6.0, per_class=per_class)
+    assert evaluate(reversed_frames(gt), reversed_frames(pred), config).to_dict() == evaluate(
+        gt, pred, config
+    ).to_dict()
+
+
+def joined(first, second):
+    """``first`` followed in time by ``second``, each one's ids prefixed by
+    its part's name, so no id is shared between the parts."""
+    return Dataset(
+        first.n_views,
+        first.n_frames + second.n_frames,
+        first.image_width,
+        first.image_height,
+        tuple(
+            replace(p, frame=p.frame + shift, id=f"{part}{p.id}")
+            for part, shift, ds in (("a", 0, first), ("b", first.n_frames, second))
+            for p in ds.points
+        ),
+        first.role,
+    )
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(crowded_scenes(st.just(n)), crowded_scenes(st.just(n)))
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_joining_two_scenes_adds_their_tallies_and_weights_their_accuracies(scenes):
+    (gt_a, pred_a), (gt_b, pred_b) = scenes
+    parts = [evaluate(gt_a, pred_a, CONFIG), evaluate(gt_b, pred_b, CONFIG)]
+    whole = evaluate(joined(gt_a, gt_b), joined(pred_a, pred_b), CONFIG)
+    for key, value in whole.tallies.items():
+        assert value == sum(part.tallies[key] for part in parts), key
+    if whole.tallies["tp"]:
+        for name in ("ass_acc", "corres_acc"):
+            weighted = math.fsum(p.tallies["tp"] * getattr(p, name) for p in parts)
+            assert getattr(whole, name) == pytest.approx(
+                weighted / whole.tallies["tp"], abs=1e-12
+            ), name
 
 
 def matches_by_position(result, named):
