@@ -109,7 +109,8 @@ def _hungarian(
     zero reduced cost ``cost[r][c] - u[r] - v[c]``, no cell has a negative
     one, the potentials of the longer side are at most zero, and zero
     wherever that side is left unassigned, so together they are an optimal
-    dual of the assignment problem.
+    dual of the assignment problem. ``minimize_cost`` reads them to check,
+    without another solve, that the assignment is its canonical optimum.
     """
     n, m = len(rows), len(cols)
     if n == 0 or m == 0:
@@ -317,26 +318,35 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], 
     The result is exact on every matrix of ints and floats: of the
     assignments with the least total, summed without rounding, it is the
     one whose (row, col) pair sequence is lexicographically smallest, so
-    repeated runs and platform changes cannot reshuffle tied matches. A
-    float is an int over a power of two, so a matrix holding any float is
-    first scaled once by the largest denominator of its entries, which
-    turns every entry into an exact int and keeps every ordering of sums.
+    repeated runs and platform changes cannot reshuffle tied matches. With
+    a row left unassigned read as column ``m``, one past the last, that is
+    the assignment whose columns, read row by row, come first. A float is
+    an int over a power of two, so a matrix holding any float is first
+    scaled once by the largest denominator of its entries, which turns
+    every entry into an exact int and keeps every ordering of sums.
 
-    A first solve pins the optimal total, one optimal completion and an
-    optimal dual ``(u, v)``. Rows are then fixed in order: columns smaller
-    than the completion's choice are probed with a reduced solve, and the
-    first one that still reaches the total wins. A probe reaches the total
-    when its cells, less those of the first solve, sum to zero.
+    A first solve gives one optimum and an optimal dual ``(u, v)``: no
+    reduced cost ``entries[r][c] - u[r] - v[c]`` is negative, and the
+    potentials of the longer side are at most zero, zero where the solve
+    leaves that side unassigned. A complete assignment therefore costs the
+    optimum, plus the reduced costs of its cells, plus the magnitudes of
+    the longer side's potentials that it leaves unassigned, so every cell
+    of every optimum is tight, with a reduced cost of exactly zero. Take an
+    optimum that comes before the first: at the first row where the two
+    differ, it takes a tight column to the left of the first's, one that
+    the earlier rows, the same in both, leave free. So when no row of the
+    first optimum has such a column, no optimum comes before it, and it is
+    returned.
 
-    Only columns that are tight under the dual, with a reduced cost
-    ``entries[r][c] - u[r] - v[c]`` of exactly zero, are probed. The dual
-    is feasible (no reduced cost is negative) and the potentials of the
-    longer side are at most zero, zero where the first solve leaves that
-    side unassigned. Any complete assignment that contains a cell therefore
-    costs at least the optimum plus that cell's reduced cost, so by
-    complementary slackness no optimal assignment, with any rows already
-    fixed, uses a cell whose reduced cost is positive, and the probe of
-    such a cell could only fail.
+    Otherwise one more solve settles the tie, on ``x * (m+1)**n + (c - m) *
+    (m+1)**(n-1-r)`` for the entry ``x`` at row ``r`` and column ``c``. Over
+    a complete assignment the second terms add up, less a constant, to the
+    base ``m + 1`` number whose digits are the rows' columns in order; a
+    row left unassigned adds no term, as its column ``m`` would. That
+    number is below ``(m+1)**n``, while two different totals of ints differ
+    by at least ``(m+1)**n`` once scaled. So the weighted matrix has a
+    single optimum: of the original optima, the one whose columns come
+    first.
     """
     n = len(entries)
     m = len(entries[0]) if n else 0
@@ -347,45 +357,24 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], 
         scale = max(den for row in ratios for _, den in row)
         entries = [[num * (scale // den) for num, den in row] for row in ratios]
 
-    base, u, v = _hungarian(entries, range(n), range(m))
-    less_base = [-entries[r][c] for r, c in base]
-    k = min(n, m)
-
-    # invariant: settled + current reaches the total; current covers rows > r
-    current = dict(base)
-    settled: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for r in range(n):
-        if len(settled) == k:
+    first, u, v = _hungarian(entries, range(n), range(m))
+    col_of = dict(first)
+    taken: set[int] = set()  # the columns of the rows checked so far
+    for r, row in enumerate(entries):
+        c_r, u_r = col_of.get(r, m), u[r]
+        # a list runs faster here than any() over a generator
+        if [c for c in range(c_r) if row[c] - u_r == v[c] and c not in taken]:
             break
-        fallback = current.get(r)
-        chosen = fallback
-        row, ur = entries[r], u[r]
-        # no optimal assignment uses a cell that is not tight
-        tight = [
-            c
-            for c in range(m if fallback is None else fallback)
-            if c not in used and row[c] - ur - v[c] == 0
-        ]
-        free_cols = [c for c in range(m) if c not in used] if tight else []
-        for c in tight:
-            rest, _, _ = _hungarian(entries, range(r + 1, n), [x for x in free_cols if x != c])
-            excess = sum(
-                less_base
-                + [entries[rr][cc] for rr, cc in settled]
-                + [entries[r][c]]
-                + [entries[rr][cc] for rr, cc in rest]
-            )
-            if excess == 0:
-                chosen = c
-                current = dict(rest)
-                break
-        if chosen is None:
-            continue  # no optimal completion assigns this row
-        settled.append((r, chosen))
-        used.add(chosen)
+        taken.add(c_r)
+    else:
+        return tuple(first)
 
-    return tuple(settled)
+    top = (m + 1) ** n
+    weighted = [
+        [x * top + (c - m) * digit for c, x in enumerate(row)]
+        for row, digit in zip(entries, [(m + 1) ** (n - 1 - r) for r in range(n)])
+    ]
+    return tuple(_hungarian(weighted, range(n), range(m))[0])
 
 
 def _tie_key(p: Point) -> tuple[float, float, str]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import fsum
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from mvteval import evaluate, matching, metrics
@@ -124,17 +124,18 @@ def test_solver_finds_an_optimum_below_the_potentials_resolution():
     assert total(rows, minimize_cost(rows)) == want_cost
 
 
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.integers(1, 4).flatmap(
-            lambda m: st.lists(
-                st.lists(st.integers(0, 3), min_size=m, max_size=m),
-                min_size=n,
-                max_size=n,
-            )
+SMALL_INT_MATRICES = st.integers(1, 4).flatmap(
+    lambda n: st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(0, 3), min_size=m, max_size=m),
+            min_size=n,
+            max_size=n,
         )
     )
 )
+
+
+@given(SMALL_INT_MATRICES)
 @settings(max_examples=300, deadline=None)
 def test_solver_returns_lexicographically_smallest_optimum(rows):
     mat = tuple(tuple(float(x) for x in row) for row in rows)
@@ -183,7 +184,10 @@ def grid_points(draw):
     return [pt(draw(coords), draw(coords)) for _ in range(n)]
 
 
-@given(grid_points(), grid_points(), st.sampled_from([1.5, 2.5, 4.5]))
+TIE_HEAVY_GRIDS = (grid_points(), grid_points(), st.sampled_from([1.5, 2.5, 4.5]))
+
+
+@given(*TIE_HEAVY_GRIDS)
 @settings(max_examples=300, deadline=None)
 def test_solver_lexicographic_on_tie_heavy_grid_matrices(gts, preds, alpha):
     pairs = near_pairs(gts, preds, alpha)
@@ -331,16 +335,21 @@ def test_a_solve_in_an_image_near_the_float_range_stays_finite():
 
 def count_solves(monkeypatch):
     """Count Hungarian solves, minimize_cost calls and match_frame calls, and
-    record the shape of each matrix that minimize_cost solves."""
-    calls = {"solves": 0, "minimize": 0, "frames": 0, "shapes": []}
+    record the shape of each matrix that minimize_cost solves and the
+    Hungarian solves each of its calls makes."""
+    calls = {"solves": 0, "minimize": 0, "frames": 0, "shapes": [], "solves_per_call": []}
     hungarian, minimize, frame = matching._hungarian, matching.minimize_cost, metrics.match_frame
 
     def counted(key, fn):
         def wrapper(*args):
             calls[key] += 1
-            if key == "minimize":
-                calls["shapes"].append((len(args[0]), len(args[0][0])))
-            return fn(*args)
+            if key != "minimize":
+                return fn(*args)
+            calls["shapes"].append((len(args[0]), len(args[0][0])))
+            before = calls["solves"]
+            result = fn(*args)
+            calls["solves_per_call"].append(calls["solves"] - before)
+            return result
 
         return wrapper
 
@@ -396,12 +405,11 @@ def test_conflict_free_frame_needs_no_solve(monkeypatch, swap):
 
 
 @pytest.mark.parametrize("strip_ids", [False, True])
-def test_tie_break_probes_stay_few(monkeypatch, strip_ids):
-    # the tie-break loop only probes cells that are tight under the first
-    # solve's duals; without that pruning these scenes average 27-88
-    # solves per minimize_cost call. Conflict-free frames need no solve at
-    # all; without that shortcut these scenes average 2.8-3.8 solves per
-    # match_frame call, linker and IDF1 solves included
+def test_each_minimize_cost_call_solves_once_or_twice(monkeypatch, strip_ids):
+    # a second, weighted solve runs only when the first solve's duals leave
+    # a tie open. Conflict-free frames need no solve at all; without that
+    # shortcut these scenes average 2.8-3.8 solves per match_frame call,
+    # linker and IDF1 solves included
     calls = count_solves(monkeypatch)
     for seed in (1, 2, 3):
         gt, pred = generate(
@@ -421,8 +429,53 @@ def test_tie_break_probes_stay_few(monkeypatch, strip_ids):
             pred = pred.with_points(pt(p.x, p.y, view=p.view, frame=p.frame) for p in pred.points)
         evaluate(gt, pred)
     assert calls["minimize"] > 0
-    assert calls["solves"] / calls["minimize"] <= 8
+    assert set(calls["solves_per_call"]) <= {1, 2}
     assert calls["solves"] / calls["frames"] <= 1
+
+
+@pytest.mark.parametrize(
+    "matrix, solves, want",
+    [
+        (((1.0, 2.0), (2.0, 1.0)), 1, ((0, 0), (1, 1))),
+        # the first solve keeps (0, 1), (2, 2) and (3, 0) at the same total.
+        # Row 1 is left unassigned, which reads as a column past the last,
+        # and column 0 is tight for it and free of row 0: a tie left open
+        (((2, 1, 2), (1, 1, 2), (2, 2, 1), (0, 0, 0)), 2, ((0, 1), (1, 0), (3, 2))),
+    ],
+)
+def test_minimize_cost_solves_again_only_for_a_tie_the_duals_leave_open(
+    monkeypatch, matrix, solves, want
+):
+    calls = count_solves(monkeypatch)
+    assert minimize_cost(matrix) == want
+    assert calls["solves"] == solves
+
+
+def grid_matrix(case):
+    gts, preds, alpha = case
+    return thresholded_matrix(len(gts), len(preds), near_pairs(gts, preds, alpha), DIMS)
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [SMALL_INT_MATRICES, st.tuples(*TIE_HEAVY_GRIDS).map(grid_matrix)],
+    ids=["small_ints", "tie_heavy_grids"],
+)
+@pytest.mark.parametrize("solves", [1, 2])
+def test_the_lexicographic_properties_reach_both_solve_paths(monkeypatch, matrices, solves):
+    # the lexicographic properties check the weighted solve only on the
+    # matrices whose first solve leaves a tie open, and the certificate only
+    # on the others, so their strategies must draw both
+    calls = count_solves(monkeypatch)
+
+    def takes(matrix):
+        calls["solves"] = 0
+        minimize_cost(matrix)
+        return calls["solves"] == solves
+
+    # any such matrix will do, so the first one found is not shrunk
+    once = settings(derandomize=True, database=None, phases=[Phase.generate])
+    find(matrices, takes, settings=once)
 
 
 def test_solver_tie_between_bound_and_real_pairs():
