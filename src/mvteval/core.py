@@ -12,7 +12,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Any, Iterable
 
@@ -53,6 +55,8 @@ class Dataset:
 
     Points are kept in input order; all per-(view, frame) accessors
     preserve that order, which makes downstream matching deterministic.
+    The indices ``frame_counts`` and ``view_masks`` are built on first read
+    and kept; like ``_by_frame``, they take no part in equality or repr.
     """
 
     n_views: int
@@ -106,6 +110,20 @@ class Dataset:
     def at(self, view: int, frame: int) -> tuple[Point, ...]:
         """Points of one (view, frame), in input order."""
         return self._by_frame.get((view, frame), ())
+
+    @cached_property
+    def frame_counts(self) -> Counter[tuple[int, str | None]]:
+        """Number of frames where each (view, id) has a point, built on first read."""
+        return Counter((p.view, p.id) for p in self.points)
+
+    @cached_property
+    def view_masks(self) -> dict[tuple[int, str | None], int]:
+        """Bit mask of the views where each (frame, id) has a point, built on first read."""
+        masks: dict[tuple[int, str | None], int] = {}
+        for p in self.points:
+            key = (p.frame, p.id)
+            masks[key] = masks.get(key, 0) | 1 << p.view
+        return masks
 
     def with_points(self, points: Iterable[Point]) -> Dataset:
         """Same geometry and role, different point set."""

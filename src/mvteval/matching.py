@@ -437,13 +437,12 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
     Ties between identities go by their last position, then by id, and
     id-less points take part in order of ``(x, y)``. Leftovers get fresh
     ids ``v{view}t{n}``, in order of ``(x, y)``, from a per-view counter that
-    skips every id the predictions carry, in any view, and ids already
-    minted in the view. A minted id that another view's prediction carries
-    would otherwise read as that point's presence in the other view and
-    count as a false correspondence. Memory is unbounded on
-    purpose: a point that leaves the scene and reappears near its old
-    location gets its old identity back, and no aging horizon is part of
-    the matching contract.
+    skips every id the predictions carry, in any view. A minted id that
+    another view's prediction carries would otherwise read as that point's
+    presence in the other view and count as a false correspondence. Memory
+    is unbounded on purpose: a point that leaves the scene and reappears
+    near its old location gets its old identity back, and no aging horizon
+    is part of the matching contract.
     """
     if pred.role is not Role.PREDICTION:
         raise ValueError("assign_temporal_ids expects a prediction dataset")
@@ -479,7 +478,7 @@ def assign_temporal_ids(pred: Dataset, config: EvalConfig) -> Dataset:
                 while ids[r] is None:
                     fresh = f"v{view}t{minted}"
                     minted += 1
-                    if fresh not in reserved and fresh not in last:
+                    if fresh not in reserved:
                         ids[r] = fresh
 
             unnamed = iter(ids)

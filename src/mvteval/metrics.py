@@ -28,8 +28,8 @@ from .matching import (
 )
 
 # One frame memo key: (view, frame, number of pairs within the radius, the
-# frame's prediction ids where they were linked, else None).
-FrameKey = tuple[int, int, int, "tuple[str, ...] | None"]
+# linker's gate where the predictions were linked, else None).
+FrameKey = tuple[int, int, int, "float | None"]
 # One view's result: its frame matches, association (TPA, FNA, FPA) sums and
 # per-TP values, and its scores (None for a view without points).
 ViewResult = tuple[list[FrameMatch], tuple[int, int, int], list[float], "PerViewScores | None"]
@@ -163,8 +163,11 @@ def _fmt(value: float | None) -> str:
 class EvaluationResult:
     """Report plus the intermediates the pipeline produced on the way.
 
-    The matches carry the ground truth's own ids. ``id_map``, the per-view
-    relabelling of ``remap_gt_ids``, is built from ``gt`` on first access.
+    The matches carry the ground truth's own ids. ``pred_with_ids`` holds
+    the predictions the matches were made on, linked where any lacked an
+    id; under ``per_class`` it holds the predictions as given, not linked,
+    since each class links its own. ``id_map``, the per-view relabelling
+    of ``remap_gt_ids``, is built from ``gt`` on first access.
     """
 
     report: MetricReport
@@ -206,8 +209,8 @@ def build_association_tally(
     the same pair is matched are its TPA; the other frames where the
     ground-truth id appears are FNA; the other frames where the prediction
     id appears are FPA. ``gt_frames`` and ``pred_frames`` are the
-    ``frame_counts`` of the datasets the true positives were matched on
-    (predictions already carrying ids).
+    ``Dataset.frame_counts`` of the datasets the true positives were
+    matched on (predictions already carrying ids).
     """
     pair_frames = Counter((m.view, g, p) for m in matches for g, p, _ in m.tp_pairs)
     # every true positive of one (view, gt, pred) pair has the same terms
@@ -243,20 +246,6 @@ def _macro(items: Iterable[Any], attr: str) -> float | None:
     return fsum(defined) / len(defined) if defined else None
 
 
-def frame_counts(dataset: Dataset) -> Counter[tuple[int, str | None]]:
-    """Number of frames where each (view, id) of a dataset has a point."""
-    return Counter((p.view, p.id) for p in dataset.points)
-
-
-def view_masks(dataset: Dataset) -> dict[tuple[int, str | None], int]:
-    """Bit mask of the views where each (frame, id) of a dataset has a point."""
-    masks: dict[tuple[int, str | None], int] = {}
-    for p in dataset.points:
-        key = (p.frame, p.id)
-        masks[key] = masks.get(key, 0) | 1 << p.view
-    return masks
-
-
 def classify_correspondence(
     matches: Sequence[FrameMatch],
     gt_views: dict[tuple[int, str | None], int],
@@ -274,9 +263,9 @@ def classify_correspondence(
     three counters increments per other view, so each triple sums to
     ``n_views - 1``; single-view data yields empty triples.
 
-    ``gt_views`` and ``pred_views`` are the ``view_masks`` of the ground
-    truth and of the predictions (carrying ids) the true positives were
-    matched on. Every view is a bit, so a true positive is classified with
+    ``gt_views`` and ``pred_views`` are the ``Dataset.view_masks`` of the
+    ground truth and of the predictions (carrying ids) the true positives
+    were matched on. Every view is a bit, so a true positive is classified with
     a few mask operations instead of a loop over views. Its own view is
     set in the ground-truth mask G, in the matched mask T (a subset of G)
     and in the prediction mask P, so FNC = |G| - |T|, FPC = |P & ~G| and
@@ -360,21 +349,14 @@ def idf1(n_gt: int, n_pred: int, hits: Counter[tuple[str, str]]) -> float | None
     return 2 * idtp / (n_gt + n_pred)
 
 
-def occlusion_index(
-    gt: Dataset, masks: dict[tuple[int, str | None], int] | None = None
-) -> OcclusionReport:
-    """Occlusion indices of a ground-truth dataset.
-
-    ``masks``, the ``view_masks`` of ``gt`` where the caller already holds
-    them, saves building them again; the result is the same without it.
-    """
+def occlusion_index(gt: Dataset) -> OcclusionReport:
+    """Occlusion indices of a ground-truth dataset, read from its view masks."""
     if gt.role is not Role.GROUND_TRUTH:
         raise ValueError("occlusion_index expects a ground-truth dataset")
     if not gt.points:
         return OcclusionReport(None, None, None, None, None, None)
 
-    if masks is None:
-        masks = view_masks(gt)
+    masks = gt.view_masks
     full = sum(1 for mask in masks.values() if mask.bit_count() == gt.n_views)
     simple = 1.0 - full / len(masks)
 
@@ -431,17 +413,21 @@ class Scene:
 
     One scene serves every radius up to ``radius``: pass it to each
     ``evaluate_detailed`` call on the pair, as ``--alpha-sweep`` does. It
-    holds the occlusion report; the view masks of every (frame, id); the
-    frame counts of every (view, id) of the ground truth and of the
-    predictions; whether any prediction lacks an id, so that predictions
-    needing no temporal linking skip the linker; and, for every (view,
-    frame), the ground-truth/prediction pairs closer than ``radius``,
-    nearest first, so that a smaller radius reads its pairs as a prefix.
-    Each part is built on first use. The scene also keeps three memos of
-    results already computed. The frame memo: a frame whose within-radius
-    pairs and prediction ids are those of a radius already scored gets
-    back that radius's result: each frame's match and its IDF1 hits. The
-    row memo: a view whose frame keys, in frame order, and
+    holds the occlusion report; whether any prediction lacks an id, so
+    that predictions needing no temporal linking skip the linker; the
+    predictions linked at each radius scored so far, so that a radius
+    links them once; and, for every (view, frame), the
+    ground-truth/prediction pairs closer than ``radius``, nearest first,
+    so that a smaller radius reads its pairs as a prefix. Each part is
+    built on first use; the frame counts and view masks are the datasets'
+    own. The scene also keeps three memos of results already computed,
+    keyed by frame keys: (view, frame, number of within-radius pairs,
+    gate). The gate is the radius the predictions were linked at, or None
+    for ids as given; with the scene's predictions, it fixes every
+    prediction id, so two radii with one gate score the same predictions.
+    The frame memo: a frame whose key is that of a radius already scored
+    gets back that radius's result: the frame's match and its IDF1 hits.
+    The row memo: a view whose frame keys, in frame order, and
     ``zero_tp_policy`` are those of a radius already scored gets that
     view's whole result back (its matches, association sums and values,
     and per-view scores), so its association, id switches and IDF1 are not
@@ -449,10 +435,10 @@ class Scene:
     those of a radius already scored gets back its correspondence sums and
     per-TP values and its true positives' distances. A true positive's
     correspondence reads only the ground truth's view masks, fixed for the
-    scene, the prediction masks of its frame, fixed or carried by linked
-    ids in the keys, and the matches of its frame, which the frame memo
-    gives each key once; so the column is not classified again. Results
-    are the same with a shared scene and without one.
+    scene, the prediction masks, fixed by the gate, and the matches of its
+    frame, which the frame memo gives each key once; so the column is not
+    classified again. Results are the same with a shared scene and
+    without one.
     """
 
     def __init__(self, gt: Dataset, pred: Dataset, radius: float):
@@ -475,31 +461,26 @@ class Scene:
         self._views: dict[tuple[float, tuple[FrameKey, ...]], ViewResult] = {}
         # one frame's keys, one per view -> the frame column's result
         self._columns: dict[tuple[FrameKey, ...], ColumnResult] = {}
+        # the linker's gate -> the predictions linked at it
+        self._linked: dict[float, Dataset] = {}
 
     @cached_property
     def occlusion(self) -> OcclusionReport:
-        return occlusion_index(self.gt, self.gt_views)
+        return occlusion_index(self.gt)
 
     @cached_property
     def nameless(self) -> bool:
         """Whether any prediction lacks an id, so that ids are linked per radius."""
         return any(p.id is None for p in self.pred.points)
 
-    @cached_property
-    def gt_frames(self) -> Counter[tuple[int, str | None]]:
-        return frame_counts(self.gt)
-
-    @cached_property
-    def pred_frames(self) -> Counter[tuple[int, str | None]]:
-        return frame_counts(self.pred)
-
-    @cached_property
-    def gt_views(self) -> dict[tuple[int, str | None], int]:
-        return view_masks(self.gt)
-
-    @cached_property
-    def pred_views(self) -> dict[tuple[int, str | None], int]:
-        return view_masks(self.pred)
+    def pred_with_ids(self, config: EvalConfig) -> Dataset:
+        """The predictions as given if each has an id, else linked at ``config.alpha``."""
+        if not self.nameless:
+            return self.pred
+        linked = self._linked.get(config.alpha)
+        if linked is None:
+            linked = self._linked[config.alpha] = assign_temporal_ids(self.pred, config)
+        return linked
 
     @cached_property
     def pairs(self) -> dict[tuple[int, int], list[tuple[float, int, int]]]:
@@ -552,11 +533,12 @@ def evaluate_detailed(
 ) -> EvaluationResult:
     """Like ``evaluate`` but keeps the intermediate artifacts.
 
-    Pipeline: link prediction ids where any is missing; then each view's
-    frames are matched on the ground truth's own ids and the view is
-    scored, unless the scene already holds that view's result;
-    correspondence, which needs every view's matches, comes last, one frame
-    column at a time, unless the scene already holds that column's result.
+    Pipeline: link prediction ids where any is missing, once per radius of
+    the scene; then each view's frames are matched on the ground truth's
+    own ids and the view is scored, unless the scene already holds that
+    view's result; correspondence, which needs every view's matches, comes
+    last, one frame column at a time, unless the scene already holds that
+    column's result.
     Deterministic for a given input pair and config. ``scene``, a ``Scene``
     of this same pair with a radius of at least ``config.alpha``, only
     skips work done for another radius; a call without one builds its own.
@@ -574,12 +556,8 @@ def evaluate_detailed(
 
     gt, alpha, policy = scene.gt, config.alpha, config.zero_tp_policy
     n_views, n_frames = scene.n_views, scene.n_frames
-    linked = scene.nameless
-    if linked:
-        pred = assign_temporal_ids(scene.pred, config)
-        pred_frames, pred_views = frame_counts(pred), view_masks(pred)
-    else:
-        pred, pred_frames, pred_views = scene.pred, scene.pred_frames, scene.pred_views
+    pred = scene.pred_with_ids(config)
+    gate = alpha if scene.nameless else None
 
     # pooled in (view, frame) order; the pooled association mean and each
     # view's are exactly rounded sums over the same per-TP values
@@ -593,12 +571,11 @@ def evaluate_detailed(
     for v in range(n_views):
         keys = []
         for f in range(n_frames):
-            n_near = bisect_left(all_pairs.get((v, f), ()), (alpha,))
-            keys.append((v, f, n_near, tuple(p.id for p in pred.at(v, f)) if linked else None))
+            keys.append((v, f, bisect_left(all_pairs.get((v, f), ()), (alpha,)), gate))
         key = (policy, tuple(keys))
         entry = views.get(key)
         if entry is None:
-            entry = views[key] = _score_view(scene, pred, pred_frames, keys, config)
+            entry = views[key] = _score_view(scene, pred, keys, config)
         row, v_sums, v_values, scores = entry
         matches.extend(row)
         rows.append(row)
@@ -614,9 +591,9 @@ def evaluate_detailed(
     corres_values: list[float] = []
     distances: list[float] = []
     # the occlusion report reads the ground truth's view masks, so it is taken
-    # where correspondence first needs them, not held through the view loop
+    # where correspondence first needs them, not built before the view loop
     occlusion = scene.occlusion
-    columns, gt_views = scene._columns, scene.gt_views
+    columns, gt_views, pred_views = scene._columns, gt.view_masks, pred.view_masks
     for f, column in enumerate(zip(*view_keys)):
         entry = columns.get(column)
         if entry is None:
@@ -682,11 +659,7 @@ def evaluate_detailed(
 
 
 def _score_view(
-    scene: Scene,
-    pred: Dataset,
-    pred_frames: Counter[tuple[int, str | None]],
-    keys: Sequence[FrameKey],
-    config: EvalConfig,
+    scene: Scene, pred: Dataset, keys: Sequence[FrameKey], config: EvalConfig
 ) -> ViewResult:
     """One view's frame matches, association sums and values, and scores.
 
@@ -718,7 +691,7 @@ def _score_view(
         return row, (0, 0, 0), [], None
     # a true positive's terms depend only on its own view's matches and the
     # per-(view, id) frame counts
-    ass_terms = build_association_tally(scene.gt_frames, pred_frames, row)
+    ass_terms = build_association_tally(gt.frame_counts, pred.frame_counts, row)
     v_values = _jaccard_values(ass_terms)
     v_ass = _mean(v_values, config.zero_tp_policy)
     v_det_acc, _, _, v_f1 = detection_scores(v_tp, v_fp, v_fn)

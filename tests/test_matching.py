@@ -796,12 +796,14 @@ def test_points_with_ids_pass_through():
 
 
 def test_fresh_ids_avoid_pass_through_collision():
-    ds = prediction_dataset(
-        [pt(10, 10, id="v0t0", frame=0), pt(40, 40, frame=0)], n_frames=1
-    )
-    out = assign_temporal_ids(ds, CONFIG)
-    ids = [p.id for p in out.points]
-    assert len(set(ids)) == 2
+    for points, expected in (
+        ([pt(10, 10, id="v0t0"), pt(40, 40)], {"v0t0", "v0t1"}),
+        # the counter skips the supplied v0t1 between the two names it mints
+        ([pt(10, 10), pt(25, 25, id="v0t1"), pt(40, 40)], {"v0t0", "v0t1", "v0t2"}),
+    ):
+        out = assign_temporal_ids(prediction_dataset(points, n_frames=1), CONFIG)
+        ids = [p.id for p in out.points]
+        assert len(set(ids)) == len(ids) and set(ids) == expected
 
 
 @pytest.mark.parametrize("other_id", ["zzz", "v0t0"])

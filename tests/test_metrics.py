@@ -21,12 +21,10 @@ from mvteval.metrics import (
     detection_scores,
     evaluate,
     evaluate_detailed,
-    frame_counts,
     hota,
     mota,
     mv_hota,
     occlusion_index,
-    view_masks,
 )
 from mvteval.synth import SynthConfig, generate, three_view_fixture
 from oracles import (
@@ -166,7 +164,7 @@ def test_association_zero_tp_policy():
 def test_ass_tally_counts():
     gt, pred = _single_track_scene(SPLIT_TRACK)
     matches = [FrameMatch(0, f, (("g", p, 0.0),), (), ()) for f, p in enumerate(SPLIT_TRACK)]
-    terms = build_association_tally(frame_counts(gt), frame_counts(pred), matches)
+    terms = build_association_tally(gt.frame_counts, pred.frame_counts, matches)
     assert terms == SPLIT_TRACK_TERMS
     tpa, fna, fpa = terms[-1]
     assert tpa / (tpa + fna + fpa) == pytest.approx(3 / 5)
@@ -178,7 +176,7 @@ def test_ass_tally_built_from_pipeline():
     # the matches carry the ground truth's own ids
     assert {g for m in result.matches for g, _, _ in m.tp_pairs} == {"g"}
     terms = build_association_tally(
-        frame_counts(gt), frame_counts(result.pred_with_ids), result.matches
+        gt.frame_counts, result.pred_with_ids.frame_counts, result.matches
     )
     assert terms == SPLIT_TRACK_TERMS
     tallies = result.report.tallies
@@ -219,7 +217,7 @@ def _classify(gt, pred):
         for v in range(2)
         for f in range(gt.n_frames)
     ]
-    return classify_correspondence(matches, view_masks(gt), view_masks(pred), 2)
+    return classify_correspondence(matches, gt.view_masks, pred.view_masks, 2)
 
 
 def test_correspondence_tp_in_both_views_is_tpc():
@@ -332,7 +330,7 @@ def test_classify_correspondence_equals_the_per_view_rule(scene):
         for v in range(gt.n_views)
         for f in range(gt.n_frames)
     ]
-    terms = classify_correspondence(matches, view_masks(gt), view_masks(pred), gt.n_views)
+    terms = classify_correspondence(matches, gt.view_masks, pred.view_masks, gt.n_views)
 
     gt_present = {(p.view, p.frame, p.id) for p in gt.points}
     pred_present = {(p.view, p.frame, p.id) for p in pred.points}
@@ -987,9 +985,9 @@ def test_the_report_applies_the_term_functions_to_its_matches(scene, strip_ids):
         pred = pred.with_points(replace(p, id=None) for p in pred.points)
     result = evaluate_detailed(gt, pred, CONFIG)
     report, linked = result.report, result.pred_with_ids
-    ass_terms = build_association_tally(frame_counts(gt), frame_counts(linked), result.matches)
+    ass_terms = build_association_tally(gt.frame_counts, linked.frame_counts, result.matches)
     corres = classify_correspondence(
-        result.matches, view_masks(gt), view_masks(linked), report.n_views
+        result.matches, gt.view_masks, linked.view_masks, report.n_views
     )
     assert len(ass_terms) == len(corres) == report.tallies["tp"]
     for terms, keys, acc in (

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -170,13 +171,66 @@ def test_a_sweep_relabels_and_measures_occlusion_once(tmp_path, monkeypatch, ass
     assert evaluations == {"evaluate_detailed": 7}  # the headline and six radii
 
 
+def count_builds(monkeypatch, *names):
+    """Replace each named ``Dataset`` index with one that records the datasets it is built for."""
+    builds = {name: [] for name in names}
+    for name in names:
+        original = getattr(Dataset, name).func
+
+        def counted(dataset, _name=name, _original=original):
+            builds[_name].append(dataset)
+            return _original(dataset)
+
+        index = cached_property(counted)
+        index.__set_name__(Dataset, name)
+        monkeypatch.setattr(Dataset, name, index)
+    return builds
+
+
 @pytest.mark.parametrize("strip_ids", [False, True])
 def test_a_fresh_evaluation_builds_the_ground_truths_view_masks_once(monkeypatch, strip_ids):
-    calls = count_calls(monkeypatch, metrics, "view_masks", "occlusion_index")
-    evaluate(*scene_pair(strip_ids=strip_ids))
-    # the occlusion report reads the scene's ground-truth masks; the other
-    # call builds the masks of the predictions, linked or as given
-    assert calls == {"view_masks": 2, "occlusion_index": 1}
+    builds = count_builds(monkeypatch, "view_masks", "frame_counts")
+    calls = count_calls(monkeypatch, metrics, "occlusion_index")
+    gt, pred = scene_pair(strip_ids=strip_ids)
+    first = evaluate_detailed(gt, pred)
+    # the occlusion report and correspondence read one build of the ground
+    # truth's masks; the predictions, linked or as given, are built once too
+    scored = sorted(map(id, (gt, first.pred_with_ids)))
+    assert {name: sorted(map(id, built)) for name, built in builds.items()} == {
+        "view_masks": scored, "frame_counts": scored
+    }
+    assert calls == {"occlusion_index": 1}
+    # the same objects again build nothing; only predictions linked afresh do
+    again = evaluate_detailed(gt, pred)
+    fresh = [id(again.pred_with_ids)] if strip_ids else []
+    assert {name: [id(d) for d in built[2:]] for name, built in builds.items()} == {
+        "view_masks": fresh, "frame_counts": fresh
+    }
+    assert again == first
+
+
+@pytest.mark.parametrize("per_class", [False, True])
+def test_an_id_less_sweep_links_once_per_radius(tmp_path, monkeypatch, per_class):
+    calls = count_calls(monkeypatch, metrics, "assign_temporal_ids")
+    # a class per view, so that every class has points on both sides
+    gt, pred = (
+        dataset.with_points(replace(p, class_label=LABELS[p.view]) for p in dataset.points)
+        for dataset in scene_pair()
+    )
+    flags = ["--assign-ids", "--alpha-sweep", "2:12:2"] + ["--per-class"] * per_class
+    run_sweep(tmp_path, gt, pred, *flags)
+    # the headline's radius, 6, is one of the sweep's six; each class links
+    # on its own
+    assert calls == {"assign_temporal_ids": 6 * (len(LABELS) if per_class else 1)}
+
+
+def test_a_shared_scene_links_once_per_radius(monkeypatch):
+    gt, pred = scene_pair(strip_ids=True)
+    scene = Scene(gt, pred, 6.0)
+    calls = count_calls(monkeypatch, metrics, "assign_temporal_ids")
+    for alpha in (6.0, 2.0, 6.0):
+        evaluate_detailed(gt, pred, EvalConfig(alpha), scene=scene)
+    assert calls == {"assign_temporal_ids": 2}
 
 
 def assert_a_repeated_radius_makes_no_new_match(monkeypatch, gt, pred):
