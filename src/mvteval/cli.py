@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 validation failure (geometry mismatch without
 --force, a pair that cannot be scored even with --force, invalid generator
 settings, a radius that is not positive and finite, an --alpha-sweep that
 is malformed, that holds a radius rounding to 0 at 9 decimals, whose STEP
-cannot advance in floating point or that gives more than 10,000 radii), 2
-unreadable or malformed input, or an output that cannot be written (then
-none is, and an output path that is a directory is refused before any is
-written).
+cannot advance in floating point or that gives more than 10,000 radii, or
+flags that do not combine: --dump-matches with --per-class, --alpha-sweep
+with --format csv), 2 unreadable or malformed input, or an output that
+cannot be written (then none is, and an output path that is a directory is
+refused before any is written).
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
 """
@@ -175,6 +176,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             return 1
     if args.dump_matches and args.per_class:
         print("error: --dump-matches is not supported with --per-class", file=sys.stderr)
+        return 1
+    if sweep_alphas and args.format == "csv":
+        # a CSV report is one row of scores, with no place for the sweep's
+        print("error: --alpha-sweep is not supported with --format csv", file=sys.stderr)
         return 1
 
     if args.assign_ids:

@@ -13,7 +13,7 @@ import enum
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Any, Iterable
@@ -53,10 +53,12 @@ class Point:
 class Dataset:
     """Immutable point collection with its image geometry.
 
-    Points are kept in input order; all per-(view, frame) accessors
-    preserve that order, which makes downstream matching deterministic.
-    The indices ``frame_counts`` and ``view_masks`` are built on first read
-    and kept; like ``_by_frame``, they take no part in equality or repr.
+    Building one checks the geometry and then every point (see
+    ``_check_points``). Points are kept in input order; all per-(view,
+    frame) accessors preserve that order, which makes downstream matching
+    deterministic. The indices ``_by_frame``, ``frame_counts`` and
+    ``view_masks`` are built on first read and kept; they take no part in
+    equality or repr.
     """
 
     n_views: int
@@ -65,51 +67,26 @@ class Dataset:
     image_height: int
     points: tuple[Point, ...]
     role: Role
-    _by_frame: dict[tuple[int, int], tuple[Point, ...]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
-        geometry = (self.n_views, self.n_frames, self.image_width, self.image_height)
-        _check_geometry(*geometry)
-        _, by_frame, failure = _index(self.points, geometry, self.role)
-        if failure is not None:
-            raise failure
-        object.__setattr__(self, "_by_frame", by_frame)
-
-    @classmethod
-    def _unchecked(
-        cls,
-        n_views: int,
-        n_frames: int,
-        image_width: int,
-        image_height: int,
-        points: tuple[Point, ...],
-        role: Role,
-        by_frame: dict[tuple[int, int], tuple[Point, ...]] | None = None,
-    ) -> Dataset:
-        """A dataset of points known to pass every check, built without running them.
-
-        For callers whose points follow from a valid dataset: same geometry,
-        same role, and ids that stay unique per (view, frame). ``by_frame``
-        is the per-(view, frame) index when the caller has built it.
-        """
-        dataset = object.__new__(cls)
-        for name, value in (
-            ("n_views", n_views),
-            ("n_frames", n_frames),
-            ("image_width", image_width),
-            ("image_height", image_height),
-            ("points", points),
-            ("role", role),
-            ("_by_frame", _index(points, None, role)[1] if by_frame is None else by_frame),
-        ):
-            object.__setattr__(dataset, name, value)
-        return dataset
+        _check_geometry(self.n_views, self.n_frames, self.image_width, self.image_height)
+        _check_points(self)
 
     def at(self, view: int, frame: int) -> tuple[Point, ...]:
         """Points of one (view, frame), in input order."""
         return self._by_frame.get((view, frame), ())
+
+    @cached_property
+    def _by_frame(self) -> dict[tuple[int, int], tuple[Point, ...]]:
+        """The points of each (view, frame) that has any, built on first read."""
+        rows: dict[tuple[int, int], list[Point]] = {}
+        for p in self.points:
+            row = rows.get((p.view, p.frame))
+            if row is None:
+                rows[p.view, p.frame] = [p]
+            else:
+                row.append(p)
+        return {key: tuple(row) for key, row in rows.items()}
 
     @cached_property
     def frame_counts(self) -> Counter[tuple[int, str | None]]:
@@ -137,11 +114,21 @@ class Dataset:
         )
 
     def _with_valid_points(self, points: Iterable[Point]) -> Dataset:
-        """``with_points`` for points known to keep every invariant, without the checks."""
-        return Dataset._unchecked(
-            self.n_views, self.n_frames, self.image_width, self.image_height, tuple(points),
-            self.role,
+        """``with_points`` for points known to keep every invariant, without the checks.
+
+        For points that follow from this dataset's: same geometry, same
+        role, and ids that stay unique per (view, frame).
+        """
+        dataset = object.__new__(Dataset)
+        dataset.__dict__.update(
+            n_views=self.n_views,
+            n_frames=self.n_frames,
+            image_width=self.image_width,
+            image_height=self.image_height,
+            points=tuple(points),
+            role=self.role,
         )
+        return dataset
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -283,56 +270,36 @@ def _check_geometry(n_views: int, n_frames: int, image_width: int, image_height:
         raise DatasetError("image diagonal does not fit a float", "image_width")
 
 
-def _index(
-    points: Iterable[Point], geometry: tuple[int, int, int, int] | None, role: Role
-) -> tuple[tuple[Point, ...], dict[tuple[int, int], tuple[Point, ...]], DatasetError | None]:
-    """The points, their per-(view, frame) index and the first point that breaks a rule.
+def _check_points(dataset: Dataset) -> None:
+    """Raise for the first point that breaks a rule, by the rules in order.
 
-    Without a ``geometry`` (n_views, n_frames, image_width, image_height)
-    nothing is checked. Otherwise a point must lie in it, carry an id if
-    it is ground truth, and not repeat an id of its (view, frame); the
-    first one that does not is returned as an error, by the rules in that
-    order. Every point is drawn even after a failure, so that an error the
-    iterable itself raises while reading a later point wins.
+    A point must lie in the geometry (view, frame, x, y), carry an id if
+    the dataset is ground truth, and not repeat an id of its (view, frame).
     """
-    n_views, n_frames, image_width, image_height = geometry or (0, 0, 0, 0)
-    kept: list[Point] = []
-    rows: dict[tuple[int, int], list[Point]] = {}
+    n_views, n_frames = dataset.n_views, dataset.n_frames
+    image_width, image_height = dataset.image_width, dataset.image_height
+    needs_id = dataset.role is Role.GROUND_TRUTH
     seen_ids: set[tuple[str, int, int]] = set()
-    needs_id = role is Role.GROUND_TRUTH
-    failure: DatasetError | None = None
     # positions are formatted only for a failing point
-    for i, p in enumerate(points):
-        kept.append(p)
-        if failure is not None:
-            continue
+    for i, p in enumerate(dataset.points):
         view, frame, pid = p.view, p.frame, p.id
-        if geometry is not None:
-            if not 0 <= view < n_views:
-                failure = DatasetError(f"view {view} out of range", f"points[{i}].view")
-            elif not 0 <= frame < n_frames:
-                failure = DatasetError(f"frame {frame} out of range", f"points[{i}].frame")
-            elif not 0 <= p.x <= image_width:
-                failure = DatasetError(f"x={p.x} outside image", f"points[{i}].x")
-            elif not 0 <= p.y <= image_height:
-                failure = DatasetError(f"y={p.y} outside image", f"points[{i}].y")
-            elif pid is None:
-                if needs_id:
-                    failure = DatasetError("ground-truth point without id", f"points[{i}].id")
-            elif (pid, view, frame) in seen_ids:
-                failure = DatasetError(
-                    f"duplicate id {pid!r} in view {view}, frame {frame}", f"points[{i}].id"
-                )
-            else:
-                seen_ids.add((pid, view, frame))
-            if failure is not None:
-                continue
-        row = rows.get((view, frame))
-        if row is None:
-            rows[view, frame] = [p]
+        if not 0 <= view < n_views:
+            raise DatasetError(f"view {view} out of range", f"points[{i}].view")
+        if not 0 <= frame < n_frames:
+            raise DatasetError(f"frame {frame} out of range", f"points[{i}].frame")
+        if not 0 <= p.x <= image_width:
+            raise DatasetError(f"x={p.x} outside image", f"points[{i}].x")
+        if not 0 <= p.y <= image_height:
+            raise DatasetError(f"y={p.y} outside image", f"points[{i}].y")
+        if pid is None:
+            if needs_id:
+                raise DatasetError("ground-truth point without id", f"points[{i}].id")
+        elif (pid, view, frame) in seen_ids:
+            raise DatasetError(
+                f"duplicate id {pid!r} in view {view}, frame {frame}", f"points[{i}].id"
+            )
         else:
-            row.append(p)
-    return tuple(kept), {key: tuple(row) for key, row in rows.items()}, failure
+            seen_ids.add((pid, view, frame))
 
 
 _HEADER = ("n_views", "n_frames", "image_width", "image_height")
@@ -341,11 +308,11 @@ _HEADER = ("n_views", "n_frames", "image_width", "image_height")
 def dataset_from_dict(data: Any, role: Role) -> Dataset:
     """Build a validated dataset from already-decoded JSON.
 
-    One pass reads each point, checks its fields' types and ranges and
-    indexes it. The first error is reported, in this precedence: a field
-    of the wrong type, in point order; then the header's fields; then the
-    geometry; then a point out of range, without a ground-truth id or
-    repeating an id, in point order.
+    Every point's fields are read first, then the header's, and the
+    dataset then checks its geometry and its points. So the first error is
+    reported in this precedence: a field of the wrong type, in point order;
+    then the header's fields; then the geometry; then a point out of range,
+    without a ground-truth id or repeating an id, in point order.
     """
     if not isinstance(data, dict):
         raise DatasetError("top-level value must be an object", "$")
@@ -354,20 +321,9 @@ def dataset_from_dict(data: Any, role: Role) -> Dataset:
     raw_points = data["points"]
     if not isinstance(raw_points, list):
         raise DatasetError("points must be an array", "points")
-    header = [data.get(key) for key in _HEADER]
-    # ranges are checked only against a well-typed header, whose own
-    # errors are raised after every point has been read
-    ranged = all(isinstance(value, int) and not isinstance(value, bool) for value in header)
-    points, by_frame, failure = _index(
-        _read_points(raw_points), tuple(header) if ranged else None, role
-    )
+    points = tuple(_read_points(raw_points))
     n_views, n_frames, image_width, image_height = (_int_field(data, key) for key in _HEADER)
-    _check_geometry(n_views, n_frames, image_width, image_height)
-    if failure is not None:
-        raise failure
-    return Dataset._unchecked(
-        n_views, n_frames, image_width, image_height, points, role, by_frame
-    )
+    return Dataset(n_views, n_frames, image_width, image_height, points, role)
 
 
 def _read_points(raw_points: list) -> Iterable[Point]:

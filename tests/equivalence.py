@@ -93,7 +93,7 @@ def make_scene(core, synth, seed: int, n_views: int, ids: str, labelled: bool):
                 x=p.x,
                 y=p.y,
                 id=None if strip(i) else p.id,
-                class_label=LABELS[(3 * i + offset) % 3] if labelled else None,
+                class_label=LABELS[(i + offset) % 3] if labelled else None,
             )
             for i, p in enumerate(dataset.points)
         )

@@ -185,6 +185,31 @@ def test_csv_format(scene):
     assert len(row.split(",")) == len(header.split(","))
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (
+            ["--format", "csv", "--alpha-sweep", "2:12:2"],
+            "--alpha-sweep is not supported with --format csv",
+        ),
+        (
+            ["--dump-matches", "matches.json", "--per-class"],
+            "--dump-matches is not supported with --per-class",
+        ),
+    ],
+)
+def test_flags_that_do_not_combine_are_refused_before_any_evaluation(
+    scene, tmp_path, monkeypatch, capsys, flags, message
+):
+    gt_path, pred_path = scene
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "evaluate_detailed", lambda *args, **kwargs: pytest.fail("evaluated"))
+    assert cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not (tmp_path / "matches.json").exists()
+
+
 def test_dump_matches(scene, tmp_path):
     gt_path, pred_path = scene
     dump = tmp_path / "matches.json"

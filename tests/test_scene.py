@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvteval import cli, metrics
-from mvteval.core import Dataset, EvalConfig, Point, Role, parse_dataset, serialize_dataset
+from mvteval.core import (
+    Dataset, EvalConfig, Point, Role, dataset_from_dict, parse_dataset, serialize_dataset,
+)
 from mvteval.metrics import Scene, evaluate, evaluate_detailed
 from mvteval.synth import SynthConfig, generate
 
@@ -40,7 +42,7 @@ def labelled(dataset, offset):
     return dataset.with_points(
         Point(
             view=p.view, frame=p.frame, x=p.x, y=p.y, id=p.id,
-            class_label=LABELS[(3 * i + offset) % len(LABELS)],
+            class_label=LABELS[(i + offset) % len(LABELS)],
         )
         for i, p in enumerate(dataset.points)
     )
@@ -206,6 +208,28 @@ def test_a_fresh_evaluation_builds_the_ground_truths_view_masks_once(monkeypatch
     assert {name: [id(d) for d in built[2:]] for name, built in builds.items()} == {
         "view_masks": fresh, "frame_counts": fresh
     }
+    assert again == first
+
+
+@pytest.mark.parametrize("strip_ids", [False, True])
+def test_a_dataset_builds_its_per_frame_index_once_on_first_read(monkeypatch, strip_ids):
+    builds = count_builds(monkeypatch, "_by_frame")["_by_frame"]
+    gt, pred = scene_pair(strip_ids=strip_ids)
+    parsed = dataset_from_dict(gt.to_dict(), Role.GROUND_TRUTH)
+    derived = parsed._with_valid_points(parsed.points)
+    assert builds == []
+    # the first read builds it, and later reads keep it
+    assert derived.at(0, 0) == parsed.at(0, 0) != ()
+    assert parsed.at(1, 2) == derived.at(1, 2) and derived.at(2, 7) == parsed.at(2, 7)
+    assert [id(d) for d in builds] == [id(derived), id(parsed)]
+    # scoring builds the predictions' index and, when linked, the linked ones'
+    first = evaluate_detailed(parsed, pred)
+    scored = {id(pred), id(first.pred_with_ids)}
+    assert sorted(id(d) for d in builds[2:]) == sorted(scored)
+    # the same objects again build nothing; only predictions linked afresh do
+    again = evaluate_detailed(parsed, pred)
+    fresh = [id(again.pred_with_ids)] if strip_ids else []
+    assert [id(d) for d in builds[2 + len(scored):]] == fresh
     assert again == first
 
 
