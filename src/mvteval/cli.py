@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 validation failure (geometry mismatch without
 --force, a pair that cannot be scored even with --force, invalid generator
-settings, a radius that is not positive and finite, an --alpha-sweep that
-is malformed, that holds a radius rounding to 0 at 9 decimals, whose STEP
-cannot advance in floating point or that gives more than 10,000 radii, or
-flags that do not combine: --dump-matches with --per-class, --alpha-sweep
-with --format csv), 2 unreadable or malformed input, or an output that
-cannot be written (then none is, and an output path that is a directory is
+settings, synth output paths that name one file, a radius that is not
+positive and finite, an --alpha-sweep that is malformed, that holds a
+radius rounding to 0 at 9 decimals, whose STEP cannot advance in floating
+point or that gives more than 10,000 radii, or flags that do not combine:
+--dump-matches with --per-class, --alpha-sweep or --per-class with
+--format csv), 2 unreadable or malformed input, or an output that cannot
+be written (then none is, and an output path that is a directory is
 refused before any is written).
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
@@ -125,27 +126,29 @@ def _parse_sweep(spec: str) -> list[float]:
 def _write_files(outputs: dict[str, str]) -> bool:
     """Write each text to its path, all or none.
 
-    Every text goes to a temporary sibling of its path first, and the
-    temporaries replace their paths only once all of them are written, so
-    a write that fails leaves no output behind. A path that is a directory
-    is refused before anything is written, since replacing it would fail
-    after the paths before it were replaced. On failure print an
-    ``error:`` line naming the path and return False.
+    Paths that resolve to one file are one output, and of their texts the
+    later one is written. Every text goes to a temporary sibling of its
+    file first, and the temporaries replace their files only once all of
+    them are written, so a write that fails leaves no output behind. A
+    path that is a directory is refused before anything is written, since
+    replacing it would fail after the paths before it were replaced. On
+    failure print an ``error:`` line naming the path and return False.
     """
-    staged: list[tuple[Path, str]] = []
+    # resolved file -> (the path as given, its text)
+    targets = {os.path.realpath(path): (path, text) for path, text in outputs.items()}
+    staged: list[tuple[Path, str, str]] = []
     try:
-        for path in outputs:
-            target = Path(path)
-            if target.is_dir() and not target.is_symlink():
+        for real, (path, _) in targets.items():
+            if os.path.isdir(real):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        for path, text in outputs.items():
-            temporary = Path(f"{path}.mvteval-tmp")
-            staged.append((temporary, path))
+        for real, (path, text) in targets.items():
+            temporary = Path(f"{real}.mvteval-tmp")
+            staged.append((temporary, real, path))
             temporary.write_text(text, encoding="utf-8")
-        for temporary, path in staged:
-            temporary.replace(path)
+        for temporary, real, path in staged:
+            temporary.replace(real)
     except OSError as exc:
-        for temporary, _ in staged:
+        for temporary, _, _ in staged:
             temporary.unlink(missing_ok=True)
         print(f"error: {OSError(exc.errno, exc.strerror, path)}", file=sys.stderr)
         return False
@@ -181,6 +184,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         # a CSV report is one row of scores, with no place for the sweep's
         print("error: --alpha-sweep is not supported with --format csv", file=sys.stderr)
         return 1
+    if args.per_class and args.format == "csv":
+        # nor for each class's
+        print("error: --per-class is not supported with --format csv", file=sys.stderr)
+        return 1
 
     if args.assign_ids:
         # predictions may lack ids, so stripping every id keeps them valid
@@ -203,8 +210,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
     report = result.report
 
-    # every output is rendered before any is written; with one path given
-    # twice, the report wins
+    # every output is rendered before any is written; with one file named
+    # twice, however spelled, the report wins
     outputs: dict[str, str] = {}
     if args.dump_matches:
         dump = [
@@ -263,6 +270,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if os.path.realpath(args.out_gt) == os.path.realpath(args.out_pred):
+        print(f"error: --out-gt and --out-pred name one file: {args.out_pred}", file=sys.stderr)
+        return 1
     try:
         config = SynthConfig(
             n_views=args.views,

@@ -98,37 +98,29 @@ def near_pairs(
 
 
 def _hungarian(
-    cost: Sequence[Sequence[float]], rows: Sequence[int], cols: Sequence[int]
-) -> tuple[list[tuple[int, int]], dict[int, float], dict[int, float]]:
-    """Minimum-cost complete assignment on a submatrix, with its duals.
+    cost: Sequence[Sequence[int]], rows: Sequence[int], cols: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Minimum-cost complete assignment on a submatrix of ints.
 
     Shortest augmenting path formulation with row/column potentials.
     ``rows`` and ``cols`` select the active submatrix; returned pairs use
-    the original indices and are sorted by row. The potentials come back
-    as dicts from original row and column index to value: every pair has
-    zero reduced cost ``cost[r][c] - u[r] - v[c]``, no cell has a negative
-    one, the potentials of the longer side are at most zero, and zero
-    wherever that side is left unassigned, so together they are an optimal
-    dual of the assignment problem. ``minimize_cost`` reads them to check,
-    without another solve, that the assignment is its canonical optimum.
+    the original indices and are sorted by row. Every step is exact on
+    ints.
     """
     n, m = len(rows), len(cols)
     if n == 0 or m == 0:
-        return [], {}, {}
+        return []
     transposed = n > m
     if transposed:
-        a = [[0.0, *[cost[r][c] for r in rows]] for c in cols]
+        a = [[0, *[cost[r][c] for r in rows]] for c in cols]
         n, m = m, n
     else:
-        a = [[0.0, *[cost[r][c] for c in cols]] for r in rows]
-    # each row is padded with a leading 0.0, so column j is a[i - 1][j]
+        a = [[0, *[cost[r][c] for c in cols]] for r in rows]
+    # each row is padded with a leading 0, so column j is a[i - 1][j]
 
     inf = math.inf
-    # zeros of the matrix's type: an int matrix keeps int potentials, so
-    # every step is exact
-    zero = type(a[0][1])()
-    u = [zero] * (n + 1)
-    v = [zero] * (m + 1)
+    u = [0] * (n + 1)
+    v = [0] * (m + 1)
     match = [0] * (m + 1)  # 1-based row matched to each column, 0 = free
     way = [0] * (m + 1)
     for i in range(1, n + 1):
@@ -155,12 +147,8 @@ def _hungarian(
                 elif mj < delta:
                     delta = mj
                     j1 = j
-            # A zero delta changes nothing. u and v start at +0.0 (or an int
-            # 0) and never hold -0.0, as a sum or difference is -0.0 only if
-            # an operand already is, so adding either zero leaves them as they
-            # are. A -0.0 delta would turn a -0.0 in minv into +0.0, but the
-            # two compare equal, and minv reaches u and v only as a delta
-            if delta != 0.0:
+            # a zero delta changes nothing
+            if delta:
                 for j in used:
                     u[match[j]] += delta
                     v[j] -= delta
@@ -184,13 +172,7 @@ def _hungarian(
             else:
                 pairs.append((rows[match[j] - 1], cols[j - 1]))
     pairs.sort()
-    if transposed:
-        row_pot = {r: v[j] for j, r in enumerate(rows, 1)}
-        col_pot = {c: u[i] for i, c in enumerate(cols, 1)}
-    else:
-        row_pot = {r: u[i] for i, r in enumerate(rows, 1)}
-        col_pot = {c: v[j] for j, c in enumerate(cols, 1)}
-    return pairs, row_pot, col_pot
+    return pairs
 
 
 def solve_assignment(
@@ -220,13 +202,13 @@ def solve_assignment(
     - a single pair is kept;
     - a star, whose pairs all share one row or one column, keeps its
       nearest pair, a tie going to the smallest key;
-    - any other component goes to ``minimize_cost`` once, rows and columns
+    - any other component goes to ``first_min_cost``, rows and columns
       in key order. Each row gets a private column at ``B`` after the pair
       columns, and every other cell costs the least int above ``B``. No
       optimum uses such a cell: moving each row on one to its own private
       column, which only such a row can hold, lowers the total. The total
       is then ``B`` times the rows less the gain, and a row on its private
-      column is a row without a pair, so ``minimize_cost``'s exact,
+      column is a row without a pair, so ``first_min_cost``'s exact,
       lexicographically smallest optimum is the rule's.
     """
     bound = math.hypot(image_dims[0], image_dims[1])
@@ -295,7 +277,7 @@ def _solve_component(
     row_key: Callable[[int], Any],
     col_key: Callable[[int], Any],
 ) -> list[tuple[int, int, float]]:
-    """The pairs ``minimize_cost`` keeps of one component (see ``solve_assignment``)."""
+    """The pairs ``first_min_cost`` keeps of one component (see ``solve_assignment``)."""
     rows = sorted({r for _, r, _ in edges}, key=row_key)
     cols = sorted({c for _, _, c in edges}, key=col_key)
     row_at = {r: i for i, r in enumerate(rows)}
@@ -309,11 +291,23 @@ def _solve_component(
         row[n_cols + i] = bound
     for d, r, c in edges:
         matrix[row_at[r]][col_at[c]] = d
-    return [(rows[i], cols[j], matrix[i][j]) for i, j in minimize_cost(matrix) if j < n_cols]
+    return [(rows[i], cols[j], matrix[i][j]) for i, j in first_min_cost(matrix) if j < n_cols]
 
 
-def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
-    """Canonical minimum-cost maximal assignment of any finite matrix.
+def minimize_cost(entries: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+    """A minimum-cost maximal assignment of a matrix of ints, as sorted pairs.
+
+    The solve is exact. Which of several tied optima comes back is left
+    open: IDF1 reads only the total, and ``first_min_cost`` settles ties
+    for the callers that keep the pairs.
+    """
+    n = len(entries)
+    m = len(entries[0]) if n else 0
+    return tuple(_hungarian(entries, range(n), range(m)))
+
+
+def first_min_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], ...]:
+    """Lexicographically first minimum-cost maximal assignment of any finite matrix.
 
     The result is exact on every matrix of ints and floats: of the
     assignments with the least total, summed without rounding, it is the
@@ -321,60 +315,32 @@ def minimize_cost(entries: Sequence[Sequence[float]]) -> tuple[tuple[int, int], 
     repeated runs and platform changes cannot reshuffle tied matches. With
     a row left unassigned read as column ``m``, one past the last, that is
     the assignment whose columns, read row by row, come first. A float is
-    an int over a power of two, so a matrix holding any float is first
-    scaled once by the largest denominator of its entries, which turns
-    every entry into an exact int and keeps every ordering of sums.
+    an int over a power of two, so the matrix is first scaled once by the
+    largest denominator of its entries, which turns every entry into an
+    exact int and keeps every ordering of sums.
 
-    A first solve gives one optimum and an optimal dual ``(u, v)``: no
-    reduced cost ``entries[r][c] - u[r] - v[c]`` is negative, and the
-    potentials of the longer side are at most zero, zero where the solve
-    leaves that side unassigned. A complete assignment therefore costs the
-    optimum, plus the reduced costs of its cells, plus the magnitudes of
-    the longer side's potentials that it leaves unassigned, so every cell
-    of every optimum is tight, with a reduced cost of exactly zero. Take an
-    optimum that comes before the first: at the first row where the two
-    differ, it takes a tight column to the left of the first's, one that
-    the earlier rows, the same in both, leave free. So when no row of the
-    first optimum has such a column, no optimum comes before it, and it is
-    returned.
-
-    Otherwise one more solve settles the tie, on ``x * (m+1)**n + (c - m) *
-    (m+1)**(n-1-r)`` for the entry ``x`` at row ``r`` and column ``c``. Over
-    a complete assignment the second terms add up, less a constant, to the
-    base ``m + 1`` number whose digits are the rows' columns in order; a
-    row left unassigned adds no term, as its column ``m`` would. That
-    number is below ``(m+1)**n``, while two different totals of ints differ
-    by at least ``(m+1)**n`` once scaled. So the weighted matrix has a
-    single optimum: of the original optima, the one whose columns come
-    first.
+    One ``minimize_cost`` solve then settles the tie, on ``x * (m+1)**n +
+    (c - m) * (m+1)**(n-1-r)`` for the scaled entry ``x`` at row ``r`` and
+    column ``c``. Over a complete assignment the second terms add up, less
+    a constant, to the base ``m + 1`` number whose digits are the rows'
+    columns in order; a row left unassigned adds no term, as its column
+    ``m`` would. That number is below ``(m+1)**n``, while two different
+    totals of ints differ by at least ``(m+1)**n`` once weighted. So the
+    weighted matrix has a single optimum: of the original optima, the one
+    whose columns come first.
     """
     n = len(entries)
     m = len(entries[0]) if n else 0
     if n == 0 or m == 0:
         return ()
-    if not all(type(x) is int for row in entries for x in row):
-        ratios = [[x.as_integer_ratio() for x in row] for row in entries]
-        scale = max(den for row in ratios for _, den in row)
-        entries = [[num * (scale // den) for num, den in row] for row in ratios]
-
-    first, u, v = _hungarian(entries, range(n), range(m))
-    col_of = dict(first)
-    taken: set[int] = set()  # the columns of the rows checked so far
-    for r, row in enumerate(entries):
-        c_r, u_r = col_of.get(r, m), u[r]
-        # a list runs faster here than any() over a generator
-        if [c for c in range(c_r) if row[c] - u_r == v[c] and c not in taken]:
-            break
-        taken.add(c_r)
-    else:
-        return tuple(first)
-
+    ratios = [[x.as_integer_ratio() for x in row] for row in entries]
+    scale = max(den for row in ratios for _, den in row)
     top = (m + 1) ** n
     weighted = [
-        [x * top + (c - m) * digit for c, x in enumerate(row)]
-        for row, digit in zip(entries, [(m + 1) ** (n - 1 - r) for r in range(n)])
+        [num * (scale // den) * top + (c - m) * digit for c, (num, den) in enumerate(row)]
+        for row, digit in zip(ratios, [(m + 1) ** (n - 1 - r) for r in range(n)])
     ]
-    return tuple(_hungarian(weighted, range(n), range(m))[0])
+    return minimize_cost(weighted)
 
 
 def _tie_key(p: Point) -> tuple[float, float, str]:

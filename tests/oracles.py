@@ -152,12 +152,12 @@ def near_pairs_oracle(points_a, points_b, alpha):
 def hungarian_reference(cost, rows, cols):
     """The shortest augmenting path solver scanning every column on each step.
 
-    Same contract as ``matching._hungarian``: (pairs sorted by row, row
-    potentials, column potentials) on the submatrix ``rows`` x ``cols``.
+    Same contract as ``matching._hungarian``: the pairs of the submatrix
+    ``rows`` x ``cols``, sorted by row.
     """
     n, m = len(rows), len(cols)
     if n == 0 or m == 0:
-        return [], {}, {}
+        return []
     transposed = n > m
     if transposed:
         a = [[cost[r][c] for r in rows] for c in cols]
@@ -166,8 +166,8 @@ def hungarian_reference(cost, rows, cols):
         a = [[cost[r][c] for c in cols] for r in rows]
 
     inf = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
+    u = [0] * (n + 1)
+    v = [0] * (m + 1)
     match = [0] * (m + 1)  # 1-based row matched to each column, 0 = free
     way = [0] * (m + 1)
     for i in range(1, n + 1):
@@ -212,13 +212,7 @@ def hungarian_reference(cost, rows, cols):
             else:
                 pairs.append((rows[match[j] - 1], cols[j - 1]))
     pairs.sort()
-    if transposed:
-        row_pot = {r: v[j] for j, r in enumerate(rows, 1)}
-        col_pot = {c: u[i] for i, c in enumerate(cols, 1)}
-    else:
-        row_pot = {r: u[i] for i, r in enumerate(rows, 1)}
-        col_pot = {c: v[j] for j, c in enumerate(cols, 1)}
-    return pairs, row_pot, col_pot
+    return pairs
 
 
 # ---------------------------------------------------------------------------

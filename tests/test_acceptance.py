@@ -14,7 +14,7 @@ import time
 from math import fsum
 
 from mvteval.core import Dataset, EvalConfig, Point, Role, serialize_dataset
-from mvteval.matching import minimize_cost
+from mvteval.matching import first_min_cost
 from mvteval.metrics import evaluate, hota, mv_hota, occlusion_index
 from mvteval.synth import SynthConfig, correspondence_contrast_fixture, generate
 from oracles import min_cost_assignment_by_permutations, oracle_evaluate
@@ -140,7 +140,7 @@ def test_criterion_5_assignment_optimality_ten_thousand():
     for _ in range(10_000):
         n, m = rng.randint(1, 7), rng.randint(1, 7)
         matrix = tuple(tuple(rng.uniform(0, 100) for _ in range(m)) for _ in range(n))
-        got = minimize_cost(matrix)
+        got = first_min_cost(matrix)
         want_cost, _ = min_cost_assignment_by_permutations(matrix)
         assert fsum(matrix[r][c] for r, c in got) == want_cost, matrix
     elapsed = time.perf_counter() - started

@@ -196,6 +196,7 @@ def test_csv_format(scene):
             ["--dump-matches", "matches.json", "--per-class"],
             "--dump-matches is not supported with --per-class",
         ),
+        (["--format", "csv", "--per-class"], "--per-class is not supported with --format csv"),
     ],
 )
 def test_flags_that_do_not_combine_are_refused_before_any_evaluation(
@@ -400,6 +401,27 @@ def test_evaluate_writes_the_report_and_the_dump_together(scene, tmp_path):
     assert target.read_text() == run_cli(*args).stdout
     assert json.loads(dump.read_text())
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.json", "m.json", "pred.json", "r.json"]
+
+
+@pytest.mark.parametrize("spelling", ["./r.json", "r.json", "link.json"])
+def test_evaluate_writes_one_file_named_twice_once_with_the_report(scene, tmp_path, spelling):
+    gt_path, pred_path = scene
+    (tmp_path / "link.json").symlink_to("r.json")
+    args = ("evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--format", "json")
+    result = run_cli(*args, "--dump-matches", spelling, "--output", "r.json", cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+    assert (tmp_path / "r.json").read_text() == run_cli(*args).stdout
+    assert (tmp_path / "link.json").resolve() == tmp_path / "r.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.json", "link.json", "pred.json", "r.json"]
+
+
+@pytest.mark.parametrize("spelling", ["./s.json", "s.json", "link.json"])
+def test_synth_refuses_output_paths_that_name_one_file(tmp_path, spelling):
+    (tmp_path / "link.json").symlink_to("s.json")
+    result = run_cli("synth", "--frames", "3", "--out-gt", spelling, "--out-pred", "s.json", cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr == "error: --out-gt and --out-pred name one file: s.json\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["link.json"]
 
 
 def test_geometry_mismatch_requires_force(tmp_path):

@@ -10,13 +10,14 @@ from fractions import Fraction
 from math import fsum
 
 import pytest
-from hypothesis import Phase, example, find, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvteval import evaluate, matching, metrics
 from mvteval.core import Dataset, EvalConfig, Point, Role
 from mvteval.matching import (
     assign_temporal_ids,
+    first_min_cost,
     match_frame,
     minimize_cost,
     near_pairs,
@@ -64,11 +65,11 @@ def exact_total(matrix, pairs):
 
 
 def test_solver_single_cell():
-    assert minimize_cost(((0.0,),)) == ((0, 0),)
+    assert minimize_cost(((0,),)) == ((0, 0),)
 
 
 def test_solver_symmetric_two_by_two():
-    assert minimize_cost(((1.0, 2.0), (2.0, 1.0))) == ((0, 0), (1, 1))
+    assert minimize_cost(((1, 2), (2, 1))) == ((0, 0), (1, 1))
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (6, 4), (4, 6), (1, 7), (7, 1)])
@@ -78,7 +79,7 @@ def test_solver_equals_permutation_enumeration(shape):
         mat = tuple(
             tuple(rng.uniform(0, 50) for _ in range(shape[1])) for _ in range(shape[0])
         )
-        got = minimize_cost(mat)
+        got = first_min_cost(mat)
         want_cost, want_pairs = min_cost_assignment_by_permutations(mat)
         assert total(mat, got) == want_cost
         assert got == want_pairs
@@ -94,12 +95,13 @@ FOUND_BELOW_THE_POTENTIALS_RESOLUTION = (
 )
 
 
+# small ints tie often; ints far past 2**53 would lose digits in floats
 @given(
-    st.integers(1, 7).flatmap(
-        lambda n: st.integers(1, 7).flatmap(
+    st.integers(1, 6).flatmap(
+        lambda n: st.integers(1, 6).flatmap(
             lambda m: st.lists(
                 st.lists(
-                    st.floats(0, 1000, allow_nan=False, allow_infinity=False),
+                    st.one_of(st.integers(0, 3), st.integers(-(2**70), 2**70)),
                     min_size=m,
                     max_size=m,
                 ),
@@ -109,19 +111,18 @@ FOUND_BELOW_THE_POTENTIALS_RESOLUTION = (
         )
     )
 )
-@example(FOUND_BELOW_THE_POTENTIALS_RESOLUTION)
 @settings(max_examples=300, deadline=None)
 def test_solver_optimality_property(rows):
-    mat = tuple(tuple(row) for row in rows)
-    want_cost, _ = min_cost_assignment_by_permutations(mat)
-    assert total(mat, minimize_cost(mat)) == want_cost
+    # minimize_cost returns some optimum of an int matrix, any of the tied ones
+    _, optima = all_optimal_assignments(rows)
+    assert minimize_cost(rows) in optima
 
 
 def test_solver_finds_an_optimum_below_the_potentials_resolution():
     rows = FOUND_BELOW_THE_POTENTIALS_RESOLUTION
     want_cost, _ = min_cost_assignment_by_permutations(rows)
     assert want_cost == 256.5701673014381
-    assert total(rows, minimize_cost(rows)) == want_cost
+    assert total(rows, first_min_cost(rows)) == want_cost
 
 
 SMALL_INT_MATRICES = st.integers(1, 4).flatmap(
@@ -139,7 +140,7 @@ SMALL_INT_MATRICES = st.integers(1, 4).flatmap(
 @settings(max_examples=300, deadline=None)
 def test_solver_returns_lexicographically_smallest_optimum(rows):
     mat = tuple(tuple(float(x) for x in row) for row in rows)
-    got = minimize_cost(mat)
+    got = first_min_cost(mat)
     best, optima = all_optimal_assignments(mat)
     assert exact_total(mat, got) == best
     assert got == optima[0]
@@ -170,7 +171,7 @@ DYADIC = st.one_of(
 @example([[1.0, 2.0**-54], [1.0, 0.0]])
 @settings(max_examples=300, deadline=None)
 def test_solver_returns_the_exact_lexicographically_first_optimum_of_a_float_matrix(rows):
-    got = minimize_cost(rows)
+    got = first_min_cost(rows)
     best, optima = all_optimal_assignments(rows)
     assert exact_total(rows, got) == best
     assert got == optima[0]
@@ -193,7 +194,7 @@ def test_solver_lexicographic_on_tie_heavy_grid_matrices(gts, preds, alpha):
     pairs = near_pairs(gts, preds, alpha)
     mat = thresholded_matrix(len(gts), len(preds), pairs, DIMS)
     best, optima = all_optimal_assignments(mat)
-    got = minimize_cost(mat)
+    got = first_min_cost(mat)
     assert exact_total(mat, got) == best
     assert got == optima[0]
     assert solve_by_index(pairs) == canonical_assignment(pairs, BOUND, by_index, by_index)
@@ -406,10 +407,11 @@ def test_conflict_free_frame_needs_no_solve(monkeypatch, swap):
 
 @pytest.mark.parametrize("strip_ids", [False, True])
 def test_each_minimize_cost_call_solves_once_or_twice(monkeypatch, strip_ids):
-    # a second, weighted solve runs only when the first solve's duals leave
-    # a tie open. Conflict-free frames need no solve at all; without that
-    # shortcut these scenes average 2.8-3.8 solves per match_frame call,
-    # linker and IDF1 solves included
+    # every call is a single solve: IDF1 leaves ties open, and a frame
+    # component settles its ties by weighting its costs first. Conflict-free
+    # frames need no solve at all; without that shortcut these scenes
+    # average 2.8-3.8 solves per match_frame call, linker and IDF1 solves
+    # included
     calls = count_solves(monkeypatch)
     for seed in (1, 2, 3):
         gt, pred = generate(
@@ -429,53 +431,24 @@ def test_each_minimize_cost_call_solves_once_or_twice(monkeypatch, strip_ids):
             pred = pred.with_points(pt(p.x, p.y, view=p.view, frame=p.frame) for p in pred.points)
         evaluate(gt, pred)
     assert calls["minimize"] > 0
-    assert set(calls["solves_per_call"]) <= {1, 2}
+    assert set(calls["solves_per_call"]) == {1}
     assert calls["solves"] / calls["frames"] <= 1
 
 
 @pytest.mark.parametrize(
-    "matrix, solves, want",
+    "matrix, want",
     [
-        (((1.0, 2.0), (2.0, 1.0)), 1, ((0, 0), (1, 1))),
-        # the first solve keeps (0, 1), (2, 2) and (3, 0) at the same total.
-        # Row 1 is left unassigned, which reads as a column past the last,
-        # and column 0 is tight for it and free of row 0: a tie left open
-        (((2, 1, 2), (1, 1, 2), (2, 2, 1), (0, 0, 0)), 2, ((0, 1), (1, 0), (3, 2))),
+        (((1.0, 2.0), (2.0, 1.0)), ((0, 0), (1, 1))),
+        # an unweighted solve may keep (0, 1), (2, 2) and (3, 0) at the same
+        # total, but (0, 1), (1, 0) and (3, 2) come first: row 1 left
+        # unassigned reads as a column past the last
+        (((2, 1, 2), (1, 1, 2), (2, 2, 1), (0, 0, 0)), ((0, 1), (1, 0), (3, 2))),
     ],
 )
-def test_minimize_cost_solves_again_only_for_a_tie_the_duals_leave_open(
-    monkeypatch, matrix, solves, want
-):
+def test_first_min_cost_settles_a_tie_in_one_solve(monkeypatch, matrix, want):
     calls = count_solves(monkeypatch)
-    assert minimize_cost(matrix) == want
-    assert calls["solves"] == solves
-
-
-def grid_matrix(case):
-    gts, preds, alpha = case
-    return thresholded_matrix(len(gts), len(preds), near_pairs(gts, preds, alpha), DIMS)
-
-
-@pytest.mark.parametrize(
-    "matrices",
-    [SMALL_INT_MATRICES, st.tuples(*TIE_HEAVY_GRIDS).map(grid_matrix)],
-    ids=["small_ints", "tie_heavy_grids"],
-)
-@pytest.mark.parametrize("solves", [1, 2])
-def test_the_lexicographic_properties_reach_both_solve_paths(monkeypatch, matrices, solves):
-    # the lexicographic properties check the weighted solve only on the
-    # matrices whose first solve leaves a tie open, and the certificate only
-    # on the others, so their strategies must draw both
-    calls = count_solves(monkeypatch)
-
-    def takes(matrix):
-        calls["solves"] = 0
-        minimize_cost(matrix)
-        return calls["solves"] == solves
-
-    # any such matrix will do, so the first one found is not shrunk
-    once = settings(derandomize=True, database=None, phases=[Phase.generate])
-    find(matrices, takes, settings=once)
+    assert first_min_cost(matrix) == want
+    assert calls["solves"] == calls["minimize"] == 1
 
 
 def test_solver_tie_between_bound_and_real_pairs():
@@ -484,16 +457,11 @@ def test_solver_tie_between_bound_and_real_pairs():
     # 0 takes the leftmost (bound-priced) column, row 1 the real match.
     bound = math.sqrt(20000)
     mat = ((bound, 3.0, bound), (bound, 3.0, bound))
-    assert minimize_cost(mat) == ((0, 0), (1, 1))
+    assert first_min_cost(mat) == ((0, 0), (1, 1))
 
 
 # ---------------------------------------------------------------------------
 # the fast kernels against the plain loops
-
-
-def float_bits(values):
-    """Keys and values with each float written exactly, sign of zero included."""
-    return [(key, value.hex()) for key, value in values]
 
 
 @st.composite
@@ -541,15 +509,14 @@ def test_near_pairs_equals_the_double_loop(case):
 
 @st.composite
 def cost_submatrices(draw):
-    """(cost, rows, cols): a matrix, tie-heavy or not, and the submatrix to solve.
+    """(cost, rows, cols): an int matrix, tie-heavy or not, and the submatrix to solve.
 
-    Tie-heavy matrices hold many cells at the 100 x 100 bound, equal small
-    costs and both zeros; either side may be the longer one.
+    Tie-heavy matrices hold many cells at one large cost and equal small
+    costs; either side may be the longer one.
     """
     n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
-    bound = math.hypot(*DIMS)
-    ties = st.sampled_from([0.0, -0.0, 1.0, 2.0, bound, bound, bound])
-    cell = draw(st.sampled_from([ties, st.one_of(ties, st.floats(-1e3, 1e3))]))
+    ties = st.sampled_from([0, 1, 2, 142, 142, 142])
+    cell = draw(st.sampled_from([ties, st.one_of(ties, st.integers(-1000, 1000))]))
     cost = [[draw(cell) for _ in range(m)] for _ in range(n)]
     rows = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
     cols = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
@@ -559,11 +526,7 @@ def cost_submatrices(draw):
 @given(cost_submatrices())
 @settings(max_examples=600, deadline=None)
 def test_hungarian_equals_the_full_column_scan(case):
-    pairs, row_pot, col_pot = matching._hungarian(*case)
-    want_pairs, want_row, want_col = hungarian_reference(*case)
-    assert pairs == want_pairs
-    assert float_bits(row_pot.items()) == float_bits(want_row.items())
-    assert float_bits(col_pot.items()) == float_bits(want_col.items())
+    assert matching._hungarian(*case) == hungarian_reference(*case)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -441,8 +443,6 @@ def test_idf1_equals_bijection_brute_force(seed):
             and math.dist(pos_gt[(g, f)], pos_pred[(q, f)]) < CONFIG.alpha
         )
 
-    import itertools
-
     best = 0
     k = min(len(gt_ids), len(pred_ids))
     for size in range(k + 1):
@@ -451,6 +451,43 @@ def test_idf1_equals_bijection_brute_force(seed):
                 best = max(best, sum(overlap(g, q) for g, q in zip(gs, qs)))
     want = 2 * best / (len(gt_pts) + len(pred_unique)) if gt_pts or pred_unique else None
     assert got == pytest.approx(want)
+
+
+@st.composite
+def hit_tables(draw):
+    """(n_gt, n_pred, hits): a hit graph of several components, some of them
+    stars around one ground-truth or one prediction id, with counts drawn
+    from few values so that overlaps tie. At most 6 ids a side."""
+    hits: Counter[tuple[str, str]] = Counter()
+    n_rows = n_cols = 0
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["gt_star", "pred_star", "any"]))
+        rows = 1 if shape == "gt_star" else draw(st.integers(1, 3))
+        cols = 1 if shape == "pred_star" else draw(st.integers(1, 3))
+        if n_rows + rows > 6 or n_cols + cols > 6:
+            break
+        cells = [(f"g{n_rows + i}", f"p{n_cols + j}") for i in range(rows) for j in range(cols)]
+        for cell in draw(st.lists(st.sampled_from(cells), min_size=1, unique=True)):
+            hits[cell] = draw(st.integers(1, 3))
+        n_rows, n_cols = n_rows + rows, n_cols + cols
+    total = sum(hits.values())
+    return total + draw(st.integers(0, 3)), total + draw(st.integers(0, 3)), hits
+
+
+@given(hit_tables())
+@settings(max_examples=300, deadline=None)
+def test_idf1_takes_the_largest_overlap_of_any_injection(case):
+    # IDTP is the same for every optimum, so IDF1 needs no tie-break
+    n_gt, n_pred, hits = case
+    gt_ids = sorted({g for g, _ in hits})
+    pred_ids = sorted({p for _, p in hits})
+    best = max(
+        sum(hits[g, p] for g, p in zip(gs, ps))
+        for size in range(min(len(gt_ids), len(pred_ids)) + 1)
+        for gs in itertools.combinations(gt_ids, size)
+        for ps in itertools.permutations(pred_ids, size)
+    )
+    assert metrics.idf1(n_gt, n_pred, hits) == 2 * best / (n_gt + n_pred)
 
 
 # ---------------------------------------------------------------------------
