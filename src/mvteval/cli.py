@@ -5,11 +5,12 @@ Exit codes: 0 success, 1 validation failure (geometry mismatch without
 settings, synth output paths that name one file, a radius that is not
 positive and finite, an --alpha-sweep that is malformed, that holds a
 radius rounding to 0 at 9 decimals, whose STEP cannot advance in floating
-point or that gives more than 10,000 radii, or flags that do not combine:
+point or that gives more than 10,000 radii, flags that do not combine:
 --dump-matches with --per-class, --alpha-sweep or --per-class with
---format csv), 2 unreadable or malformed input, or an output that cannot
-be written (then none is, and an output path that is a directory is
-refused before any is written).
+--format csv, --meta without --format json, or an --output or
+--dump-matches that names the --gt or --pred file), 2 unreadable or
+malformed input, or an output that cannot be written (then none is, and
+an output path that is a directory is refused before any is written).
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
 """
@@ -188,6 +189,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         # nor for each class's
         print("error: --per-class is not supported with --format csv", file=sys.stderr)
         return 1
+    if args.meta and args.format != "json":
+        # only a JSON report has a place for provenance
+        print(f"error: --meta is not supported with --format {args.format}", file=sys.stderr)
+        return 1
+    # an output onto an input would replace the data it was computed from
+    inputs = {os.path.realpath(args.gt): "--gt", os.path.realpath(args.pred): "--pred"}
+    for flag, path in (("--output", args.output), ("--dump-matches", args.dump_matches)):
+        named = path and inputs.get(os.path.realpath(path))
+        if named:
+            print(f"error: {flag} would overwrite the {named} file: {path}", file=sys.stderr)
+            return 1
 
     if args.assign_ids:
         # predictions may lack ids, so stripping every id keeps them valid

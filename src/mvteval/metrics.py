@@ -27,9 +27,6 @@ from .matching import (
     near_pairs,
 )
 
-# One frame memo key: (view, frame, number of pairs within the radius, the
-# linker's gate where the predictions were linked, else None).
-FrameKey = tuple[int, int, int, "float | None"]
 # One view's result: its frame matches, association (TPA, FNA, FPA) sums and
 # per-TP values, and its scores (None for a view without points).
 ViewResult = tuple[list[FrameMatch], tuple[int, int, int], list[float], "PerViewScores | None"]
@@ -413,32 +410,19 @@ class Scene:
 
     One scene serves every radius up to ``radius``: pass it to each
     ``evaluate_detailed`` call on the pair, as ``--alpha-sweep`` does. It
-    holds the occlusion report; whether any prediction lacks an id, so
-    that predictions needing no temporal linking skip the linker; the
-    predictions linked at each radius scored so far, so that a radius
-    links them once; and, for every (view, frame), the
-    ground-truth/prediction pairs closer than ``radius``, nearest first,
-    so that a smaller radius reads its pairs as a prefix. Each part is
-    built on first use; the frame counts and view masks are the datasets'
-    own. The scene also keeps three memos of results already computed,
-    keyed by frame keys: (view, frame, number of within-radius pairs,
-    gate). The gate is the radius the predictions were linked at, or None
-    for ids as given; with the scene's predictions, it fixes every
-    prediction id, so two radii with one gate score the same predictions.
-    The frame memo: a frame whose key is that of a radius already scored
-    gets back that radius's result: the frame's match and its IDF1 hits.
-    The row memo: a view whose frame keys, in frame order, and
-    ``zero_tp_policy`` are those of a radius already scored gets that
-    view's whole result back (its matches, association sums and values,
-    and per-view scores), so its association, id switches and IDF1 are not
-    computed again. The column memo: a frame whose keys in every view are
-    those of a radius already scored gets back its correspondence sums and
-    per-TP values and its true positives' distances. A true positive's
-    correspondence reads only the ground truth's view masks, fixed for the
-    scene, the prediction masks, fixed by the gate, and the matches of its
-    frame, which the frame memo gives each key once; so the column is not
-    classified again. Results are the same with a shared scene and
-    without one.
+    holds the occlusion report and, for every (view, frame), the
+    ground-truth/prediction pairs closer than ``radius``, nearest first, so
+    that a radius reads its pairs as a prefix. A radius therefore enters
+    scoring only through its pair-count grid: how many pairs each (view,
+    frame) has within it. Each set of predictions scored, those as given
+    when every one has an id, else those linked at one radius, keeps its
+    own memos, each keyed by the part of the grid its result reads: a
+    frame's match and IDF1 hits by its count, a view's result by
+    ``zero_tp_policy`` and the view's row of counts, and a frame column's
+    correspondence and distances by the column of counts. A radius whose
+    key is one already scored gets that result back, so results are the
+    same with a shared scene and without one. Each part is built on first
+    use; the frame counts and view masks are the datasets' own.
     """
 
     def __init__(self, gt: Dataset, pred: Dataset, radius: float):
@@ -454,15 +438,12 @@ class Scene:
         self.dims = (gt.image_width, gt.image_height)
         self.n_views = max(gt.n_views, pred.n_views)
         self.n_frames = max(gt.n_frames, pred.n_frames)
-        # frame key -> (the frame's match, its IDF1 (gt id, pred id) hits)
-        self._frames: dict[FrameKey, tuple[FrameMatch, tuple[tuple[str, str], ...]]] = {}
-        # (zero_tp_policy, one view's frame keys in frame order) -> the
-        # view's result
-        self._views: dict[tuple[float, tuple[FrameKey, ...]], ViewResult] = {}
-        # one frame's keys, one per view -> the frame column's result
-        self._columns: dict[tuple[FrameKey, ...], ColumnResult] = {}
-        # the linker's gate -> the predictions linked at it
-        self._linked: dict[float, Dataset] = {}
+        # the linker's gate, None for ids as given -> the predictions scored,
+        # then their frame memo, (view, frame, pair count) -> the frame's
+        # match and its IDF1 (gt id, pred id) hits; their view memo,
+        # (zero_tp_policy, view, its pair counts) -> ViewResult; and their
+        # column memo, (frame, its pair count in each view) -> ColumnResult
+        self._memos: dict[float | None, tuple[Dataset, dict, dict, dict]] = {}
 
     @cached_property
     def occlusion(self) -> OcclusionReport:
@@ -473,14 +454,18 @@ class Scene:
         """Whether any prediction lacks an id, so that ids are linked per radius."""
         return any(p.id is None for p in self.pred.points)
 
-    def pred_with_ids(self, config: EvalConfig) -> Dataset:
-        """The predictions as given if each has an id, else linked at ``config.alpha``."""
-        if not self.nameless:
-            return self.pred
-        linked = self._linked.get(config.alpha)
-        if linked is None:
-            linked = self._linked[config.alpha] = assign_temporal_ids(self.pred, config)
-        return linked
+    def memos(self, config: EvalConfig) -> tuple[Dataset, dict, dict, dict]:
+        """The predictions scored at ``config.alpha``, with their memos.
+
+        They are the predictions as given if each has an id, else those
+        linked at ``config.alpha``, linked once per radius.
+        """
+        gate = config.alpha if self.nameless else None
+        entry = self._memos.get(gate)
+        if entry is None:
+            pred = self.pred if gate is None else assign_temporal_ids(self.pred, config)
+            entry = self._memos[gate] = (pred, {}, {}, {})
+        return entry
 
     @cached_property
     def pairs(self) -> dict[tuple[int, int], list[tuple[float, int, int]]]:
@@ -556,8 +541,13 @@ def evaluate_detailed(
 
     gt, alpha, policy = scene.gt, config.alpha, config.zero_tp_policy
     n_views, n_frames = scene.n_views, scene.n_frames
-    pred = scene.pred_with_ids(config)
-    gate = alpha if scene.nameless else None
+    pred, frames, views, columns = scene.memos(config)
+    all_pairs = scene.pairs
+    # the radius's pair-count grid: each (view, frame)'s pairs within alpha
+    counts = [
+        tuple(bisect_left(all_pairs.get((v, f), ()), (alpha,)) for f in range(n_frames))
+        for v in range(n_views)
+    ]
 
     # pooled in (view, frame) order; the pooled association mean and each
     # view's are exactly rounded sums over the same per-TP values
@@ -566,20 +556,14 @@ def evaluate_detailed(
     ass_values: list[float] = []
     per_view: list[PerViewScores] = []
     rows: list[list[FrameMatch]] = []
-    view_keys: list[list[FrameKey]] = []
-    views, all_pairs = scene._views, scene.pairs
-    for v in range(n_views):
-        keys = []
-        for f in range(n_frames):
-            keys.append((v, f, bisect_left(all_pairs.get((v, f), ()), (alpha,)), gate))
-        key = (policy, tuple(keys))
+    for v, row_counts in enumerate(counts):
+        key = (policy, v, row_counts)
         entry = views.get(key)
         if entry is None:
-            entry = views[key] = _score_view(scene, pred, keys, config)
+            entry = views[key] = _score_view(scene, pred, v, row_counts, frames, config)
         row, v_sums, v_values, scores = entry
         matches.extend(row)
         rows.append(row)
-        view_keys.append(keys)
         ass_sums.append(v_sums)
         ass_values.extend(v_values)
         if scores is not None:
@@ -593,13 +577,13 @@ def evaluate_detailed(
     # the occlusion report reads the ground truth's view masks, so it is taken
     # where correspondence first needs them, not built before the view loop
     occlusion = scene.occlusion
-    columns, gt_views, pred_views = scene._columns, gt.view_masks, pred.view_masks
-    for f, column in enumerate(zip(*view_keys)):
-        entry = columns.get(column)
+    gt_views, pred_views = gt.view_masks, pred.view_masks
+    for f, column in enumerate(zip(*counts)):
+        entry = columns.get((f, column))
         if entry is None:
             frame_matches = [row[f] for row in rows]
             terms = classify_correspondence(frame_matches, gt_views, pred_views, n_views)
-            entry = columns[column] = (
+            entry = columns[f, column] = (
                 _column_sums(terms),
                 _jaccard_values(terms),
                 [d for m in frame_matches for _, _, d in m.tp_pairs],
@@ -659,27 +643,26 @@ def evaluate_detailed(
 
 
 def _score_view(
-    scene: Scene, pred: Dataset, keys: Sequence[FrameKey], config: EvalConfig
+    scene: Scene, pred: Dataset, v: int, counts: Sequence[int], frames: dict, config: EvalConfig
 ) -> ViewResult:
-    """One view's frame matches, association sums and values, and scores.
+    """View ``v``'s frame matches, association sums and values, and scores.
 
-    ``keys`` are the view's frame memo keys, in frame order; a frame is
-    matched only where no earlier radius gave it the same key. The scores
-    are None for a view without points.
+    ``counts`` are the view's pair counts, in frame order; a frame is
+    matched only where ``frames``, the frame memo of ``pred``, holds no
+    result for its count. The scores are None for a view without points.
     """
-    gt, frames, all_pairs = scene.gt, scene._frames, scene.pairs
+    gt, all_pairs = scene.gt, scene.pairs
     row = []
     hits: list[tuple[str, str]] = []  # IDF1's (gt id, pred id) frames
     v_tp = v_fp = v_fn = 0
-    for key in keys:
-        entry = frames.get(key)
+    for f, n_near in enumerate(counts):
+        entry = frames.get((v, f, n_near))
         if entry is None:
-            v, f, n_near, _ = key
             gs, ps = gt.at(v, f), pred.at(v, f)
             near = all_pairs.get((v, f), ())[:n_near]
             m = match_frame(gs, ps, config, scene.dims, v, f, near)
             # every pair within alpha is an IDF1 hit, matched or not
-            entry = frames[key] = (m, tuple((gs[r].id, ps[c].id) for _, r, c in near))
+            entry = frames[v, f, n_near] = (m, tuple((gs[r].id, ps[c].id) for _, r, c in near))
         m, frame_hits = entry
         row.append(m)
         hits.extend(frame_hits)
@@ -697,7 +680,7 @@ def _score_view(
     v_det_acc, _, _, v_f1 = detection_scores(v_tp, v_fp, v_fn)
     v_idsw = count_id_switches(row)
     scores = PerViewScores(
-        view=keys[0][0],
+        view=v,
         tp=v_tp,
         fp=v_fp,
         fn=v_fn,

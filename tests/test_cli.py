@@ -197,6 +197,11 @@ def test_csv_format(scene):
             "--dump-matches is not supported with --per-class",
         ),
         (["--format", "csv", "--per-class"], "--per-class is not supported with --format csv"),
+        (
+            ["--meta", "--dump-matches", "matches.json"],
+            "--meta is not supported with --format table",
+        ),
+        (["--meta", "--format", "csv"], "--meta is not supported with --format csv"),
     ],
 )
 def test_flags_that_do_not_combine_are_refused_before_any_evaluation(
@@ -413,6 +418,21 @@ def test_evaluate_writes_one_file_named_twice_once_with_the_report(scene, tmp_pa
     assert (tmp_path / "r.json").read_text() == run_cli(*args).stdout
     assert (tmp_path / "link.json").resolve() == tmp_path / "r.json"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.json", "link.json", "pred.json", "r.json"]
+
+
+@pytest.mark.parametrize("named", ["--gt", "--pred"])
+@pytest.mark.parametrize("flag", ["--output", "--dump-matches"])
+def test_evaluate_refuses_an_output_onto_an_input(scene, tmp_path, monkeypatch, capsys, flag, named):
+    inputs = {path: path.read_bytes() for path in scene}
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "evaluate_detailed", lambda *args, **kwargs: pytest.fail("evaluated"))
+    spelling = {"--gt": "./gt.json", "--pred": "./pred.json"}[named]
+    args = ["evaluate", "--gt", "gt.json", "--pred", "pred.json", "--format", "json"]
+    assert cli.main([*args, flag, spelling]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {flag} would overwrite the {named} file: {spelling}\n"
+    assert {path: path.read_bytes() for path in scene} == inputs
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.json", "pred.json"]
 
 
 @pytest.mark.parametrize("spelling", ["./s.json", "s.json", "link.json"])
