@@ -13,6 +13,11 @@ malformed input, or an output that cannot be written (then none is, and
 an output path that is a directory is refused before any is written).
 Machine-readable output is a pure function of inputs and flags; --meta
 opts into provenance fields.
+
+Each call of ``main`` runs with Python's cyclic garbage collector paused,
+from parsing the arguments to writing the report, and restores its state
+on return or error. The pause is process-wide, so cycles made by other
+threads meanwhile are reclaimed only after the call.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .core import (
     EvalConfig,
     Point,
     Role,
+    _CollectorPaused,
     parse_dataset,
     serialize_dataset,
     validate_pair,
@@ -84,7 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     sy.add_argument("--fp-rate", type=float, default=0.0)
     sy.add_argument("--miss-rate", type=float, default=0.0)
     sy.add_argument("--id-switch-prob", type=float, default=0.0)
-    sy.add_argument("--ghost-rate", type=float, default=0.0)
+    sy.add_argument(
+        "--ghost-rate",
+        type=float,
+        default=0.0,
+        help="chance of a prediction in a view that dropped a point another view shows; "
+        "no effect without --view-drop-prob",
+    )
     sy.add_argument("--out-gt", default="gt.json")
     sy.add_argument("--out-pred", default="pred.json")
 
@@ -339,12 +351,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    if args.command == "synth":
-        return _cmd_synth(args)
-    return _cmd_validate(args)
+    with _CollectorPaused():
+        args = build_parser().parse_args(argv)
+        if args.command == "evaluate":
+            return _cmd_evaluate(args)
+        if args.command == "synth":
+            return _cmd_synth(args)
+        return _cmd_validate(args)
 
 
 if __name__ == "__main__":

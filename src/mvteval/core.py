@@ -10,6 +10,7 @@ by temporal matching).
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import math
 from collections import Counter
@@ -17,6 +18,26 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Any, Iterable
+
+
+class _CollectorPaused:
+    """Run a ``with`` block with Python's cyclic garbage collector paused.
+
+    Reading and scoring make no reference cycles, so collections during
+    them walk every live point and match and reclaim nothing. The pause is
+    process-wide. On exit, an exception included, the collector is
+    re-enabled only if it was enabled on entry, so nested blocks are
+    no-ops; nothing is allocated after it is re-enabled, so the collection
+    that the block deferred runs after it, not inside it.
+    """
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.enabled:
+            gc.enable()
 
 
 class Role(enum.Enum):

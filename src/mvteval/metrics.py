@@ -18,7 +18,7 @@ from functools import cached_property
 from math import fsum
 from typing import Any, Iterable, Sequence
 
-from .core import Dataset, EvalConfig, IdMap, Role, remap_gt_ids
+from .core import Dataset, EvalConfig, IdMap, Role, _CollectorPaused, remap_gt_ids
 from .matching import (
     FrameMatch,
     assign_temporal_ids,
@@ -527,119 +527,124 @@ def evaluate_detailed(
     Deterministic for a given input pair and config. ``scene``, a ``Scene``
     of this same pair with a radius of at least ``config.alpha``, only
     skips work done for another radius; a call without one builds its own.
+    Runs with Python's cyclic garbage collector paused, since scoring makes
+    no reference cycles, and restores its state on return or error. The
+    pause is process-wide, so cycles made by other threads meanwhile are
+    reclaimed only after the call.
     """
-    config = config or EvalConfig()
-    if scene is None:
-        scene = Scene(gt, pred, config.alpha)
-    elif scene.gt != gt or scene.pred != pred:
-        raise ValueError("the scene was built from a different dataset pair")
-    elif config.alpha > scene.radius:
-        raise ValueError(f"alpha={config.alpha} exceeds the scene radius {scene.radius}")
+    with _CollectorPaused():
+        config = config or EvalConfig()
+        if scene is None:
+            scene = Scene(gt, pred, config.alpha)
+        elif scene.gt != gt or scene.pred != pred:
+            raise ValueError("the scene was built from a different dataset pair")
+        elif config.alpha > scene.radius:
+            raise ValueError(f"alpha={config.alpha} exceeds the scene radius {scene.radius}")
 
-    if config.per_class:
-        return _evaluate_per_class(scene, config)
+        if config.per_class:
+            return _evaluate_per_class(scene, config)
 
-    gt, alpha, policy = scene.gt, config.alpha, config.zero_tp_policy
-    n_views, n_frames = scene.n_views, scene.n_frames
-    pred, frames, views, columns = scene.memos(config)
-    all_pairs = scene.pairs
-    # the radius's pair-count grid: each (view, frame)'s pairs within alpha
-    counts = [
-        tuple(bisect_left(all_pairs.get((v, f), ()), (alpha,)) for f in range(n_frames))
-        for v in range(n_views)
-    ]
+        gt, alpha, policy = scene.gt, config.alpha, config.zero_tp_policy
+        n_views, n_frames = scene.n_views, scene.n_frames
+        pred, frames, views, columns = scene.memos(config)
+        all_pairs = scene.pairs
+        # the radius's pair-count grid: each (view, frame)'s pairs within alpha
+        counts = [
+            tuple(bisect_left(all_pairs.get((v, f), ()), (alpha,)) for f in range(n_frames))
+            for v in range(n_views)
+        ]
 
-    # pooled in (view, frame) order; the pooled association mean and each
-    # view's are exactly rounded sums over the same per-TP values
-    matches: list[FrameMatch] = []
-    ass_sums: list[tuple[int, int, int]] = []
-    ass_values: list[float] = []
-    per_view: list[PerViewScores] = []
-    rows: list[list[FrameMatch]] = []
-    for v, row_counts in enumerate(counts):
-        key = (policy, v, row_counts)
-        entry = views.get(key)
-        if entry is None:
-            entry = views[key] = _score_view(scene, pred, v, row_counts, frames, config)
-        row, v_sums, v_values, scores = entry
-        matches.extend(row)
-        rows.append(row)
-        ass_sums.append(v_sums)
-        ass_values.extend(v_values)
-        if scores is not None:
-            per_view.append(scores)
+        # pooled in (view, frame) order; the pooled association mean and each
+        # view's are exactly rounded sums over the same per-TP values
+        matches: list[FrameMatch] = []
+        ass_sums: list[tuple[int, int, int]] = []
+        ass_values: list[float] = []
+        per_view: list[PerViewScores] = []
+        rows: list[list[FrameMatch]] = []
+        for v, row_counts in enumerate(counts):
+            key = (policy, v, row_counts)
+            entry = views.get(key)
+            if entry is None:
+                entry = views[key] = _score_view(scene, pred, v, row_counts, frames, config)
+            row, v_sums, v_values, scores = entry
+            matches.extend(row)
+            rows.append(row)
+            ass_sums.append(v_sums)
+            ass_values.extend(v_values)
+            if scores is not None:
+                per_view.append(scores)
 
-    # pooled in (frame, view) order; the means are exactly rounded sums, so
-    # the order does not change them
-    corres_sums: list[tuple[int, int, int]] = []
-    corres_values: list[float] = []
-    distances: list[float] = []
-    # the occlusion report reads the ground truth's view masks, so it is taken
-    # where correspondence first needs them, not built before the view loop
-    occlusion = scene.occlusion
-    gt_views, pred_views = gt.view_masks, pred.view_masks
-    for f, column in enumerate(zip(*counts)):
-        entry = columns.get((f, column))
-        if entry is None:
-            frame_matches = [row[f] for row in rows]
-            terms = classify_correspondence(frame_matches, gt_views, pred_views, n_views)
-            entry = columns[f, column] = (
-                _column_sums(terms),
-                _jaccard_values(terms),
-                [d for m in frame_matches for _, _, d in m.tp_pairs],
-            )
-        c_sums, c_values, c_distances = entry
-        corres_sums.append(c_sums)
-        corres_values.extend(c_values)
-        distances.extend(c_distances)
+        # pooled in (frame, view) order; the means are exactly rounded sums, so
+        # the order does not change them
+        corres_sums: list[tuple[int, int, int]] = []
+        corres_values: list[float] = []
+        distances: list[float] = []
+        # the occlusion report reads the ground truth's view masks, so it is taken
+        # where correspondence first needs them, not built before the view loop
+        occlusion = scene.occlusion
+        gt_views, pred_views = gt.view_masks, pred.view_masks
+        for f, column in enumerate(zip(*counts)):
+            entry = columns.get((f, column))
+            if entry is None:
+                frame_matches = [row[f] for row in rows]
+                terms = classify_correspondence(frame_matches, gt_views, pred_views, n_views)
+                entry = columns[f, column] = (
+                    _column_sums(terms),
+                    _jaccard_values(terms),
+                    [d for m in frame_matches for _, _, d in m.tp_pairs],
+                )
+            c_sums, c_values, c_distances = entry
+            corres_sums.append(c_sums)
+            corres_values.extend(c_values)
+            distances.extend(c_distances)
 
-    # a view without points adds no tp, fp or fn
-    tp, fp, fn = _column_sums([(view.tp, view.fp, view.fn) for view in per_view])
-    tpa, fna, fpa = _column_sums(ass_sums)
-    tpc, fpc, fnc = _column_sums(corres_sums)
-    det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
-    ass = _mean(ass_values, policy)
-    corres = _mean(corres_values, policy)
-    loc_acc = _mean(distances, 0.0)
+        # a view without points adds no tp, fp or fn
+        tp, fp, fn = _column_sums([(view.tp, view.fp, view.fn) for view in per_view])
+        tpa, fna, fpa = _column_sums(ass_sums)
+        tpc, fpc, fnc = _column_sums(corres_sums)
+        det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
+        ass = _mean(ass_values, policy)
+        corres = _mean(corres_values, policy)
+        loc_acc = _mean(distances, 0.0)
 
-    report = MetricReport(
-        alpha=alpha,
-        n_views=n_views,
-        n_frames=n_frames,
-        det_acc=det_acc,
-        precision=precision,
-        recall=recall,
-        f1=_macro(per_view, "f1"),
-        mota=_macro(per_view, "mota"),
-        idf1=_macro(per_view, "idf1"),
-        hota=_macro(per_view, "hota"),
-        ass_acc=ass,
-        corres_acc=corres,
-        mv_hota=mv_hota(det_acc, ass, corres),
-        loc_acc=loc_acc,
-        occlusion=occlusion,
-        tallies={
-            "tp": tp,
-            "fp": fp,
-            "fn": fn,
-            "idsw": sum(view.idsw for view in per_view),
-            "gt_observations": len(gt.points),
-            "pred_observations": len(pred.points),
-            "tpa": tpa,
-            "fna": fna,
-            "fpa": fpa,
-            "tpc": tpc,
-            "fpc": fpc,
-            "fnc": fnc,
-        },
-        per_view=tuple(per_view),
-    )
-    return EvaluationResult(
-        report=report,
-        matches=tuple(matches),
-        gt=gt,
-        pred_with_ids=pred,
-    )
+        report = MetricReport(
+            alpha=alpha,
+            n_views=n_views,
+            n_frames=n_frames,
+            det_acc=det_acc,
+            precision=precision,
+            recall=recall,
+            f1=_macro(per_view, "f1"),
+            mota=_macro(per_view, "mota"),
+            idf1=_macro(per_view, "idf1"),
+            hota=_macro(per_view, "hota"),
+            ass_acc=ass,
+            corres_acc=corres,
+            mv_hota=mv_hota(det_acc, ass, corres),
+            loc_acc=loc_acc,
+            occlusion=occlusion,
+            tallies={
+                "tp": tp,
+                "fp": fp,
+                "fn": fn,
+                "idsw": sum(view.idsw for view in per_view),
+                "gt_observations": len(gt.points),
+                "pred_observations": len(pred.points),
+                "tpa": tpa,
+                "fna": fna,
+                "fpa": fpa,
+                "tpc": tpc,
+                "fpc": fpc,
+                "fnc": fnc,
+            },
+            per_view=tuple(per_view),
+        )
+        return EvaluationResult(
+            report=report,
+            matches=tuple(matches),
+            gt=gt,
+            pred_with_ids=pred,
+        )
 
 
 def _score_view(

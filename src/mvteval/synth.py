@@ -21,7 +21,12 @@ from .core import Dataset, Point, Role
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator knobs; the seed fully determines the output pair."""
+    """Generator knobs; the seed fully determines the output pair.
+
+    ``ghost_rate`` emits a prediction only in a view where the point was
+    view-dropped while another view still shows it, so without
+    ``view_drop_prob > 0`` it changes nothing.
+    """
 
     n_views: int = 2
     n_frames: int = 30

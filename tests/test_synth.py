@@ -40,6 +40,27 @@ def test_different_seeds_differ():
     assert a != b
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_ghost_rate_needs_view_drops(seed):
+    # a ghost fills a view that dropped a point another view shows, so with
+    # temporal drops alone there is nowhere to put one
+    def pair(ghost_rate, view_drop_prob):
+        return generate(
+            SynthConfig(
+                n_views=3,
+                n_frames=10,
+                n_points=6,
+                temporal_drop_prob=0.3,
+                view_drop_prob=view_drop_prob,
+                ghost_rate=ghost_rate,
+                seed=seed,
+            )
+        )
+
+    assert pair(1.0, 0.0) == pair(0.0, 0.0)
+    assert pair(1.0, 0.3) != pair(0.0, 0.3)
+
+
 def test_no_drops_means_no_occlusion():
     gt, _ = generate(SynthConfig(n_views=2, n_frames=8, n_points=5, seed=7))
     assert occlusion_index(gt).simple == 0.0
