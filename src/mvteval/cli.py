@@ -6,13 +6,13 @@ settings, synth output paths that name one file, a radius that is not
 positive and finite, an --alpha-sweep that is malformed, that holds a
 radius rounding to 0 at 9 decimals, whose STEP cannot advance in floating
 point or that gives more than 10,000 radii, flags that do not combine:
---dump-matches with --per-class, --alpha-sweep or --per-class with
---format csv, --meta without --format json, or an --output or
---dump-matches that names the --gt or --pred file), 2 unreadable or
-malformed input, or an output that cannot be written (then none is, and
-an output path that is a directory is refused before any is written).
-Machine-readable output is a pure function of inputs and flags; --meta
-opts into provenance fields.
+--dump-matches with --per-class, --meta without --format json, or an
+--output or --dump-matches that names the --gt or --pred file), 2
+unreadable or malformed input, or an output that cannot be written (then
+none is, and an output path that is a directory is refused before any is
+written). Machine-readable output is a pure function of inputs and flags;
+--meta opts into provenance fields. A CSV report has one row per class
+and radius scored; see ``MetricReport.to_csv``.
 
 Each call of ``main`` runs with Python's cyclic garbage collector paused,
 from parsing the arguments to writing the report, and restores its state
@@ -25,12 +25,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import errno
+import itertools
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Any
 
 from . import __version__
 from .core import (
@@ -46,7 +46,7 @@ from .core import (
 from .metrics import EvaluationError, MetricReport, Scene, evaluate_detailed, occlusion_index
 from .synth import SynthConfig, generate
 
-_SWEEP_KEYS = MetricReport._COLUMNS + ("loc_acc",)
+_SWEEP_KEYS = ("alpha",) + MetricReport._COLUMNS + ("loc_acc",)
 # the most radii one --alpha-sweep may ask for: the list is built before any is scored
 _SWEEP_LIMIT = 10_000
 
@@ -140,12 +140,14 @@ def _write_files(outputs: dict[str, str]) -> bool:
     """Write each text to its path, all or none.
 
     Paths that resolve to one file are one output, and of their texts the
-    later one is written. Every text goes to a temporary sibling of its
-    file first, and the temporaries replace their files only once all of
-    them are written, so a write that fails leaves no output behind. A
-    path that is a directory is refused before anything is written, since
-    replacing it would fail after the paths before it were replaced. On
-    failure print an ``error:`` line naming the path and return False.
+    later one is written. Every text goes to a new sibling of its file
+    first, created exclusively and named none of the outputs, so that
+    staging replaces no file. The temporaries replace their files only
+    once all of them are written, so a write that fails leaves no output
+    behind. A path that is a directory is refused before anything is
+    written, since replacing it would fail after the paths before it were
+    replaced. On failure print an ``error:`` line naming the path and
+    return False.
     """
     # resolved file -> (the path as given, its text)
     targets = {os.path.realpath(path): (path, text) for path, text in outputs.items()}
@@ -155,7 +157,14 @@ def _write_files(outputs: dict[str, str]) -> bool:
             if os.path.isdir(real):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for real, (path, text) in targets.items():
-            temporary = Path(f"{real}.mvteval-tmp")
+            for n in itertools.count():
+                temporary = Path(f"{real}.mvteval-tmp{n or ''}")
+                try:
+                    if str(temporary) not in targets:
+                        temporary.open("x").close()
+                        break
+                except FileExistsError:
+                    pass
             staged.append((temporary, real, path))
             temporary.write_text(text, encoding="utf-8")
         for temporary, real, path in staged:
@@ -192,14 +201,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             return 1
     if args.dump_matches and args.per_class:
         print("error: --dump-matches is not supported with --per-class", file=sys.stderr)
-        return 1
-    if sweep_alphas and args.format == "csv":
-        # a CSV report is one row of scores, with no place for the sweep's
-        print("error: --alpha-sweep is not supported with --format csv", file=sys.stderr)
-        return 1
-    if args.per_class and args.format == "csv":
-        # nor for each class's
-        print("error: --per-class is not supported with --format csv", file=sys.stderr)
         return 1
     if args.meta and args.format != "json":
         # only a JSON report has a place for provenance
@@ -250,19 +251,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         ]
         outputs[args.dump_matches] = json.dumps(dump, indent=2) + "\n"
 
-    sweep_rows: list[dict[str, Any]] = []
+    sweep: list[MetricReport] = []
     for alpha in sweep_alphas:
         sweep_config = EvalConfig(alpha=alpha, per_class=args.per_class)
-        sweep_report = evaluate_detailed(gt, pred, sweep_config, scene=scene).report
-        row: dict[str, Any] = {"alpha": alpha}
-        row.update({key: getattr(sweep_report, key) for key in _SWEEP_KEYS})
-        sweep_rows.append(row)
+        sweep.append(evaluate_detailed(gt, pred, sweep_config, scene=scene).report)
 
     if args.format == "json":
         payload = report.to_dict()
         payload["validation"] = validation.to_dict()
-        if sweep_rows:
-            payload["alpha_sweep"] = sweep_rows
+        if sweep:
+            payload["alpha_sweep"] = [{k: getattr(r, k) for k in _SWEEP_KEYS} for r in sweep]
         if args.meta:
             payload["meta"] = {
                 "tool": "mvteval",
@@ -273,17 +271,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             }
         text = json.dumps(payload, indent=2) + "\n"
     elif args.format == "csv":
-        text = report.to_csv()
+        text = report.to_csv(sweep)
     else:
         text = report.to_table()
-        if sweep_rows:
-            lines = ["", "alpha sweep:"]
-            for row in sweep_rows:
-                lines.append(
-                    "  alpha={alpha:g}  det_acc={det_acc:.4f}  ass_acc={ass_acc:.4f}  "
-                    "corres_acc={corres_acc:.4f}  mv_hota={mv_hota:.4f}".format(**row)
-                )
-            text += "\n".join(lines) + "\n"
+        if sweep:
+            text += "\nalpha sweep:\n" + "".join(
+                f"  alpha={r.alpha:g}  det_acc={r.det_acc:.4f}  ass_acc={r.ass_acc:.4f}  "
+                f"corres_acc={r.corres_acc:.4f}  mv_hota={r.mv_hota:.4f}\n"
+                for r in sweep
+            )
     if args.output:
         outputs[args.output] = text
     if not _write_files(outputs):

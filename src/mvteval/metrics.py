@@ -141,15 +141,28 @@ class MetricReport:
                 lines.append(f"[{label}] {row}")
         return "\n".join(lines) + "\n"
 
-    def to_csv(self) -> str:
-        cols = self._SCORES + ("occlusion_index",)
-        values = [getattr(self, c) for c in self._SCORES] + [self.occlusion.simple]
-        return (
-            ",".join(cols)
-            + "\n"
-            + ",".join("" if v is None else repr(v) for v in values)
-            + "\n"
+    def to_csv(self, sweep: Sequence[MetricReport] = ()) -> str:
+        """One row per report: this one, then each of ``sweep``.
+
+        Under ``per_class`` each report's row, the macro row, is followed by
+        one row per class in key order. A ``class`` column then leads, empty
+        on the macro row, which comes first in its radius; an ``alpha``
+        column follows when a sweep is given. ``None`` is an empty cell.
+        """
+        import csv  # here, so that importing the package does not load it
+        import io
+
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        by_class = self.per_class is not None
+        writer.writerow(
+            ("class",) * by_class + ("alpha",) * bool(sweep) + self._SCORES + ("occlusion_index",)
         )
+        for macro in (self, *sweep):
+            for label, report in [("", macro), *sorted((macro.per_class or {}).items())]:
+                scores = [getattr(report, c) for c in self._SCORES] + [report.occlusion.simple]
+                writer.writerow([label] * by_class + [macro.alpha] * bool(sweep) + scores)
+        return out.getvalue()
 
 
 def _fmt(value: float | None) -> str:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import errno
+import io
 import json
 import os
 import resource
@@ -185,18 +187,66 @@ def test_csv_format(scene):
     assert len(row.split(",")) == len(header.split(","))
 
 
+# labels a CSV cell must quote, the empty label and unlabelled points
+CSV_LABELS = ("a,b", 'say "hi"', "", None)
+CSV_SCORES = [
+    "mota", "idf1", "f1", "det_acc", "ass_acc", "hota", "corres_acc", "mv_hota",
+    "precision", "recall", "loc_acc", "occlusion_index",
+]
+
+
+@pytest.fixture
+def labelled(scene, tmp_path):
+    """The scene's pair with its points spread over ``CSV_LABELS``."""
+    paths = tmp_path / "labelled_gt.json", tmp_path / "labelled_pred.json"
+    for source, role, path in zip(scene, (Role.GROUND_TRUTH, Role.PREDICTION), paths):
+        dataset = parse_dataset(source, role)
+        serialize_dataset(
+            dataset.with_points(
+                replace(p, class_label=CSV_LABELS[(p.frame + p.view) % len(CSV_LABELS)])
+                for p in dataset.points
+            ),
+            path,
+        )
+    return paths
+
+
+@pytest.mark.parametrize("sweep", [False, True], ids=["headline", "sweep"])
+@pytest.mark.parametrize("per_class", [False, True], ids=["macro", "per-class"])
+def test_csv_has_one_row_per_class_and_radius(labelled, capsys, per_class, sweep):
+    gt_path, pred_path = labelled
+    flags = ["--per-class"] * per_class + ["--alpha-sweep", "2:12:2"] * sweep
+    argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--format", "csv", *flags]
+    assert cli.main(argv) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == ["class"] * per_class + ["alpha"] * sweep + CSV_SCORES
+
+    alphas = [6.0] + [2.0, 4.0, 6.0, 8.0, 10.0, 12.0] * sweep
+    classes = ["", "(none)", "a,b", 'say "hi"'] if per_class else []
+    assert len(rows) == len(alphas) * (1 + len(classes))
+    if per_class:
+        # each radius leads with its macro row, whose class cell is empty, as the class ""'s is
+        assert [row[0] for row in rows] == ["", *classes] * len(alphas)
+    gt = parse_dataset(gt_path, Role.GROUND_TRUTH)
+    pred = parse_dataset(pred_path, Role.PREDICTION)
+    want = []
+    for alpha in alphas:
+        report = evaluate(gt, pred, EvalConfig(alpha=alpha, per_class=per_class))
+        assert sorted(report.per_class or {}) == classes
+        for sub in [report, *(report.per_class[c] for c in classes)]:
+            scores = [getattr(sub, name) for name in CSV_SCORES[:-1]] + [sub.occlusion.simple]
+            want.append([alpha] * sweep + scores)
+    got = [[None if cell == "" else float(cell) for cell in row[per_class:]] for row in rows]
+    assert got == want
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
         (
-            ["--format", "csv", "--alpha-sweep", "2:12:2"],
-            "--alpha-sweep is not supported with --format csv",
-        ),
-        (
             ["--dump-matches", "matches.json", "--per-class"],
             "--dump-matches is not supported with --per-class",
         ),
-        (["--format", "csv", "--per-class"], "--per-class is not supported with --format csv"),
         (
             ["--meta", "--dump-matches", "matches.json"],
             "--meta is not supported with --format table",
@@ -418,6 +468,45 @@ def test_evaluate_writes_one_file_named_twice_once_with_the_report(scene, tmp_pa
     assert (tmp_path / "r.json").read_text() == run_cli(*args).stdout
     assert (tmp_path / "link.json").resolve() == tmp_path / "r.json"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.json", "link.json", "pred.json", "r.json"]
+
+
+def test_staging_the_report_replaces_no_input(scene, tmp_path, monkeypatch, capsys):
+    gt_path, pred_path = scene
+    monkeypatch.chdir(tmp_path)
+    # the ground truth sits where the report's temporary used to go
+    gt_path.rename("r.json.mvteval-tmp")
+    gt_text = Path("r.json.mvteval-tmp").read_text()
+    args = ["evaluate", "--gt", "r.json.mvteval-tmp", "--pred", "pred.json"]
+    assert cli.main(args) == 0
+    assert cli.main([*args, "--output", "r.json"]) == 0
+    assert Path("r.json.mvteval-tmp").read_text() == gt_text
+    assert Path("r.json").read_text() == capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pred.json", "r.json", "r.json.mvteval-tmp"]
+
+
+def test_staging_the_report_keeps_files_beside_it(scene, tmp_path, monkeypatch, capsys):
+    gt_path, pred_path = scene
+    monkeypatch.chdir(tmp_path)
+    mine = {Path(name): name for name in ("out.txt.mvteval-tmp", "out.txt.mvteval-tmp1")}
+    for path, text in mine.items():
+        path.write_text(text)
+    args = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path)]
+    assert cli.main(args) == 0
+    assert cli.main([*args, "--output", "out.txt"]) == 0
+    assert Path("out.txt").read_text() == capsys.readouterr().out
+    assert {path: path.read_text() for path in mine} == mine
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "gt.json", "out.txt", "out.txt.mvteval-tmp", "out.txt.mvteval-tmp1", "pred.json"
+    ]
+
+
+def test_synth_writes_an_output_named_as_another_outputs_temporary(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--frames", "3", "--out-gt", "g.json", "--out-pred", "p.json"]) == 0
+    assert cli.main(["synth", "--frames", "3", "--out-gt", "s.mvteval-tmp", "--out-pred", "s"]) == 0
+    assert Path("s.mvteval-tmp").read_text() == Path("g.json").read_text()
+    assert Path("s").read_text() == Path("p.json").read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json", "p.json", "s", "s.mvteval-tmp"]
 
 
 @pytest.mark.parametrize("named", ["--gt", "--pred"])

@@ -118,7 +118,7 @@ def test_evaluate_detailed_restores_the_collector(collector):
     "command, pred, code",
     [
         ("evaluate --format json --alpha-sweep 2:12:2", "pred.json", 0),
-        ("evaluate --format csv --alpha-sweep 2:12:2", "pred.json", 1),
+        ("evaluate --meta --format csv", "pred.json", 1),
         ("evaluate", "bad.json", 2),
         ("validate", "pred.json", 0),
     ],
