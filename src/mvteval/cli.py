@@ -227,8 +227,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        # every radius, the headline's and the sweep's, is scored on one scene
-        scene = Scene(gt, pred, max([config.alpha, *sweep_alphas]))
+        # every radius, the headline's and the sweep's, is scored on one scene,
+        # which links id-less predictions once, at the headline's
+        scene = Scene(gt, pred, config.alpha, sweep_alphas)
         result = evaluate_detailed(gt, pred, config, scene=scene)
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -174,8 +174,9 @@ class EvaluationResult:
     """Report plus the intermediates the pipeline produced on the way.
 
     The matches carry the ground truth's own ids. ``pred_with_ids`` holds
-    the predictions the matches were made on, linked where any lacked an
-    id; under ``per_class`` it holds the predictions as given, not linked,
+    the predictions the matches were made on: where any lacked an id, those
+    linked once, at the alpha of the scene scored, whatever the radius.
+    Under ``per_class`` it holds the predictions as given, not linked,
     since each class links its own. ``id_map``, the per-view relabelling
     of ``remap_gt_ids``, is built from ``gt`` on first access.
     """
@@ -421,64 +422,55 @@ class EvaluationError(ValueError):
 class Scene:
     """The state of one (ground truth, prediction) pair that no radius changes.
 
-    One scene serves every radius up to ``radius``: pass it to each
-    ``evaluate_detailed`` call on the pair, as ``--alpha-sweep`` does. It
-    holds the occlusion report and, for every (view, frame), the
-    ground-truth/prediction pairs closer than ``radius``, nearest first, so
-    that a radius reads its pairs as a prefix. A radius therefore enters
-    scoring only through its pair-count grid: how many pairs each (view,
-    frame) has within it. Each set of predictions scored, those as given
-    when every one has an id, else those linked at one radius, keeps its
-    own memos, each keyed by the part of the grid its result reads: a
-    frame's match and IDF1 hits by its count, a view's result by
-    ``zero_tp_policy`` and the view's row of counts, and a frame column's
-    correspondence and distances by the column of counts. A radius whose
-    key is one already scored gets that result back, so results are the
-    same with a shared scene and without one. Each part is built on first
-    use; the frame counts and view masks are the datasets' own.
+    One scene serves ``alpha`` and every radius of ``sweep``, up to their
+    largest, ``radius``: pass it to each ``evaluate_detailed`` call on the
+    pair, as ``--alpha-sweep`` does. Predictions that lack an id are linked
+    once, at ``alpha``, so that every radius scores the same tracks, as if
+    their ids had been given. The scene holds the occlusion report and, for
+    every (view, frame), the ground-truth/prediction pairs closer than
+    ``radius``, nearest first, so that a radius reads its pairs as a prefix.
+    A radius therefore enters scoring only through its pair-count grid: how
+    many pairs each (view, frame) has within it. The memos are keyed by the
+    part of the grid their result reads: a frame's match and IDF1 hits by
+    its count, a view's result by ``zero_tp_policy`` and the view's row of
+    counts, and a frame column's correspondence and distances by the column
+    of counts. A radius whose key is one already scored gets that result
+    back. Each part is built on first use; the frame counts and view masks
+    are the datasets' own.
     """
 
-    def __init__(self, gt: Dataset, pred: Dataset, radius: float):
+    def __init__(self, gt: Dataset, pred: Dataset, alpha: float, sweep: Iterable[float] = ()):
         if gt.role is not Role.GROUND_TRUTH or pred.role is not Role.PREDICTION:
             raise ValueError("evaluate expects (ground truth, prediction) in that order")
         if (gt.image_width, gt.image_height) != (pred.image_width, pred.image_height):
             raise EvaluationError("image dimensions differ; scores would not be comparable")
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         self.gt = gt
         self.pred = pred
-        self.radius = radius
+        self.alpha = alpha
+        self.radius = max([alpha, *sweep])
         self.dims = (gt.image_width, gt.image_height)
         self.n_views = max(gt.n_views, pred.n_views)
         self.n_frames = max(gt.n_frames, pred.n_frames)
-        # the linker's gate, None for ids as given -> the predictions scored,
-        # then their frame memo, (view, frame, pair count) -> the frame's
-        # match and its IDF1 (gt id, pred id) hits; their view memo,
-        # (zero_tp_policy, view, its pair counts) -> ViewResult; and their
-        # column memo, (frame, its pair count in each view) -> ColumnResult
-        self._memos: dict[float | None, tuple[Dataset, dict, dict, dict]] = {}
+        # (view, frame, pair count) -> the frame's match and its IDF1 (gt id,
+        # pred id) hits
+        self._frames: dict[tuple[int, int, int], tuple[FrameMatch, tuple]] = {}
+        # (zero_tp_policy, view, its pair counts) -> ViewResult
+        self._views: dict[tuple, ViewResult] = {}
+        # (frame, its pair count in each view) -> ColumnResult
+        self._columns: dict[tuple, ColumnResult] = {}
 
     @cached_property
     def occlusion(self) -> OcclusionReport:
         return occlusion_index(self.gt)
 
     @cached_property
-    def nameless(self) -> bool:
-        """Whether any prediction lacks an id, so that ids are linked per radius."""
-        return any(p.id is None for p in self.pred.points)
-
-    def memos(self, config: EvalConfig) -> tuple[Dataset, dict, dict, dict]:
-        """The predictions scored at ``config.alpha``, with their memos.
-
-        They are the predictions as given if each has an id, else those
-        linked at ``config.alpha``, linked once per radius.
-        """
-        gate = config.alpha if self.nameless else None
-        entry = self._memos.get(gate)
-        if entry is None:
-            pred = self.pred if gate is None else assign_temporal_ids(self.pred, config)
-            entry = self._memos[gate] = (pred, {}, {}, {})
-        return entry
+    def pred_with_ids(self) -> Dataset:
+        """The predictions scored: as given if each has an id, else linked at ``alpha``."""
+        if all(p.id is not None for p in self.pred.points):
+            return self.pred
+        return assign_temporal_ids(self.pred, EvalConfig(alpha=self.alpha))
 
     @cached_property
     def pairs(self) -> dict[tuple[int, int], list[tuple[float, int, int]]]:
@@ -510,7 +502,8 @@ class Scene:
                 Scene(
                     gt._with_valid_points(p for p in gt.points if p.class_label == label),
                     pred._with_valid_points(p for p in pred.points if p.class_label == label),
-                    self.radius,
+                    self.alpha,
+                    (self.radius,),
                 ),
             )
             for label in labels or [None]
@@ -531,15 +524,17 @@ def evaluate_detailed(
 ) -> EvaluationResult:
     """Like ``evaluate`` but keeps the intermediate artifacts.
 
-    Pipeline: link prediction ids where any is missing, once per radius of
-    the scene; then each view's frames are matched on the ground truth's
-    own ids and the view is scored, unless the scene already holds that
-    view's result; correspondence, which needs every view's matches, comes
-    last, one frame column at a time, unless the scene already holds that
-    column's result.
+    Pipeline: link prediction ids where any is missing, once per scene, at
+    the scene's alpha; then each view's frames are matched on the ground
+    truth's own ids and the view is scored, unless the scene already holds
+    that view's result; correspondence, which needs every view's matches,
+    comes last, one frame column at a time, unless the scene already holds
+    that column's result.
     Deterministic for a given input pair and config. ``scene``, a ``Scene``
-    of this same pair with a radius of at least ``config.alpha``, only
-    skips work done for another radius; a call without one builds its own.
+    of this same pair with a radius of at least ``config.alpha``, skips
+    work done for another radius; with ids given, the result is the same as
+    without it. A call without one builds its own, which links at
+    ``config.alpha``.
     Runs with Python's cyclic garbage collector paused, since scoring makes
     no reference cycles, and restores its state on return or error. The
     pause is process-wide, so cycles made by other threads meanwhile are
@@ -559,7 +554,7 @@ def evaluate_detailed(
 
         gt, alpha, policy = scene.gt, config.alpha, config.zero_tp_policy
         n_views, n_frames = scene.n_views, scene.n_frames
-        pred, frames, views, columns = scene.memos(config)
+        pred, views, columns = scene.pred_with_ids, scene._views, scene._columns
         all_pairs = scene.pairs
         # the radius's pair-count grid: each (view, frame)'s pairs within alpha
         counts = [
@@ -578,7 +573,7 @@ def evaluate_detailed(
             key = (policy, v, row_counts)
             entry = views.get(key)
             if entry is None:
-                entry = views[key] = _score_view(scene, pred, v, row_counts, frames, config)
+                entry = views[key] = _score_view(scene, v, row_counts, config)
             row, v_sums, v_values, scores = entry
             matches.extend(row)
             rows.append(row)
@@ -660,16 +655,14 @@ def evaluate_detailed(
         )
 
 
-def _score_view(
-    scene: Scene, pred: Dataset, v: int, counts: Sequence[int], frames: dict, config: EvalConfig
-) -> ViewResult:
+def _score_view(scene: Scene, v: int, counts: Sequence[int], config: EvalConfig) -> ViewResult:
     """View ``v``'s frame matches, association sums and values, and scores.
 
     ``counts`` are the view's pair counts, in frame order; a frame is
-    matched only where ``frames``, the frame memo of ``pred``, holds no
-    result for its count. The scores are None for a view without points.
+    matched only where the scene's frame memo holds no result for its
+    count. The scores are None for a view without points.
     """
-    gt, all_pairs = scene.gt, scene.pairs
+    gt, pred, all_pairs, frames = scene.gt, scene.pred_with_ids, scene.pairs, scene._frames
     row = []
     hits: list[tuple[str, str]] = []  # IDF1's (gt id, pred id) frames
     v_tp = v_fp = v_fn = 0

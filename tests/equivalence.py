@@ -14,8 +14,10 @@ lines on its own ``src`` as on a checkout of its parent:
 Library runs (12,960): 60 seeds x 1-3 views x prediction ids kept, half
 stripped and all stripped x per-class off and on x one ``Scene`` shared by
 every radius or a fresh one per call x the radii 0.5, 3, 6, 20, 1e9 and 6
-again. Each run digests ``report.to_dict()``, the per-frame matches and
-``pred_with_ids``, or the error raised.
+again. The shared scene is built as ``Scene(gt, pred, 1e9)``, so it links
+id-less predictions once, at 1e9, for every radius, while a fresh one
+links them at its own radius. Each run digests ``report.to_dict()``, the
+per-frame matches and ``pred_with_ids``, or the error raised.
 
 Command-line runs (432): 36 scenes x 12 flag sets, covering the README's
 commands, ``--assign-ids``, ``--per-class``, the sweeps 2:12:2 and

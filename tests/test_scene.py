@@ -1,4 +1,9 @@
-"""One scene shared by every radius of a sweep scores each radius as a fresh evaluation would."""
+"""One scene shared by every radius of a sweep scores each radius as a fresh evaluation would.
+
+A scene links id-less predictions once, at its alpha, so each radius is
+compared with a fresh evaluation of those linked predictions; per class,
+each class with one of its own linked predictions.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvteval import cli, metrics
+from mvteval import cli, matching, metrics
 from mvteval.core import (
     Dataset, EvalConfig, Point, Role, dataset_from_dict, parse_dataset, serialize_dataset,
 )
@@ -76,6 +81,22 @@ def run_sweep(tmp_path, gt, pred, *flags):
     )
 
 
+def assert_scores_the_linked_predictions(shared, gt, pred, link_alpha, config):
+    """``shared`` equals a fresh evaluation under ``config`` of the predictions
+    linked at ``link_alpha``; per class, each class's result equals one of its
+    own linked predictions."""
+    scene = Scene(gt, pred, link_alpha)
+    if not config.per_class:
+        assert shared == evaluate_detailed(gt, scene.pred_with_ids, config)
+        return
+    matches = []
+    for key, sub in scene.classes:
+        fresh = evaluate_detailed(sub.gt, sub.pred_with_ids, replace(config, per_class=False))
+        assert shared.report.per_class[key] == fresh.report
+        matches.extend(fresh.matches)
+    assert shared.matches == tuple(matches)
+
+
 @pytest.mark.parametrize("per_class", [False, True])
 @pytest.mark.parametrize("assign_ids", [False, True])
 def test_every_sweep_row_equals_a_fresh_evaluation(tmp_path, per_class, assign_ids):
@@ -91,9 +112,13 @@ def test_every_sweep_row_equals_a_fresh_evaluation(tmp_path, per_class, assign_i
 
     radii = [row["alpha"] for row in payload["alpha_sweep"]]
     assert 6.0 in radii and radii[-1] > math.hypot(gt.image_width, gt.image_height)
+    # every row scores the predictions linked at the headline's radius
+    scene = Scene(gt, pred, 6.0, radii)
     for row in payload["alpha_sweep"]:
-        report = evaluate(gt, pred, EvalConfig(alpha=row["alpha"], per_class=per_class))
-        assert row == {"alpha": row["alpha"], **{k: getattr(report, k) for k in cli._SWEEP_KEYS}}
+        config = EvalConfig(alpha=row["alpha"], per_class=per_class)
+        shared = evaluate_detailed(gt, pred, config, scene=scene)
+        assert row == {k: getattr(shared.report, k) for k in cli._SWEEP_KEYS}
+        assert_scores_the_linked_predictions(shared, gt, pred, 6.0, config)
 
     # the headline is the report of its own radius, sweep or no sweep
     headline = {k: v for k, v in payload.items() if k not in ("validation", "alpha_sweep")}
@@ -105,13 +130,14 @@ def test_every_sweep_row_equals_a_fresh_evaluation(tmp_path, per_class, assign_i
 @pytest.mark.parametrize("strip_ids", [False, True])
 def test_shared_scene_gives_the_same_result(per_class, strip_ids):
     gt, pred = scene_pair(per_class, strip_ids)
-    scene = Scene(gt, pred, 100.0)
+    scene = Scene(gt, pred, 6.0, (100.0,))
     # repeated and out-of-order radii, so later calls reuse earlier matches
     for alpha in (12.0, 2.0, 6.0, 6.0, 100.0, 3.5, 12.0):
         config = EvalConfig(alpha=alpha, per_class=per_class)
-        assert evaluate_detailed(gt, pred, config, scene=scene) == evaluate_detailed(
-            gt, pred, config
-        )
+        shared = evaluate_detailed(gt, pred, config, scene=scene)
+        assert_scores_the_linked_predictions(shared, gt, pred, 6.0, config)
+        if alpha == 6.0 or not strip_ids:
+            assert shared == evaluate_detailed(gt, pred, config)
 
 
 ID_MODES = ("kept", "half stripped", "all stripped")
@@ -136,15 +162,15 @@ def test_a_shared_scene_scores_every_radius_as_a_fresh_evaluation(
             replace(p, id=None) if ids == "all stripped" or i % 2 else p
             for i, p in enumerate(pred.points)
         )
-    scene = Scene(gt, pred, max(radii))
+    # linked at the first radius drawn
+    scene = Scene(gt, pred, radii[0], radii)
     # the drawn order, then largest first, so radii repeat and come out of order
     for alpha in radii + sorted(radii, reverse=True):
         config = EvalConfig(alpha=alpha, per_class=per_class)
         shared = evaluate_detailed(gt, pred, config, scene=scene)
-        fresh = evaluate_detailed(gt, pred, config)
-        assert shared.report == fresh.report
-        assert shared.matches == fresh.matches
-        assert shared.pred_with_ids == fresh.pred_with_ids
+        assert_scores_the_linked_predictions(shared, gt, pred, radii[0], config)
+        if alpha == radii[0] or ids == "kept":
+            assert shared == evaluate_detailed(gt, pred, config)
 
 
 def count_calls(monkeypatch, module, *names):
@@ -234,7 +260,7 @@ def test_a_dataset_builds_its_per_frame_index_once_on_first_read(monkeypatch, st
 
 
 @pytest.mark.parametrize("per_class", [False, True])
-def test_an_id_less_sweep_links_once_per_radius(tmp_path, monkeypatch, per_class):
+def test_an_id_less_sweep_links_once_per_scene(tmp_path, monkeypatch, per_class):
     calls = count_calls(monkeypatch, metrics, "assign_temporal_ids")
     # a class per view, so that every class has points on both sides
     gt, pred = (
@@ -243,18 +269,34 @@ def test_an_id_less_sweep_links_once_per_radius(tmp_path, monkeypatch, per_class
     )
     flags = ["--assign-ids", "--alpha-sweep", "2:12:2"] + ["--per-class"] * per_class
     run_sweep(tmp_path, gt, pred, *flags)
-    # the headline's radius, 6, is one of the sweep's six; each class links
-    # on its own
-    assert calls == {"assign_temporal_ids": 6 * (len(LABELS) if per_class else 1)}
+    # once for all six radii; each class links on its own, and the scene
+    # that holds the classes scores none of its predictions
+    assert calls == {"assign_temporal_ids": len(LABELS) if per_class else 1}
 
 
-def test_a_shared_scene_links_once_per_radius(monkeypatch):
+def test_a_shared_scene_links_once_at_its_alpha(monkeypatch):
     gt, pred = scene_pair(strip_ids=True)
-    scene = Scene(gt, pred, 6.0)
+    scene = Scene(gt, pred, 6.0, (12.0,))
     calls = count_calls(monkeypatch, metrics, "assign_temporal_ids")
-    for alpha in (6.0, 2.0, 6.0):
-        evaluate_detailed(gt, pred, EvalConfig(alpha), scene=scene)
-    assert calls == {"assign_temporal_ids": 2}
+    results = [
+        evaluate_detailed(gt, pred, EvalConfig(alpha), scene=scene) for alpha in (2.0, 12.0, 6.0)
+    ]
+    assert calls == {"assign_temporal_ids": 1}
+    linked = matching.assign_temporal_ids(pred, EvalConfig(6.0))
+    assert [result.pred_with_ids for result in results] == [linked] * 3
+
+
+def test_an_id_less_sweep_matches_no_more_frames_than_one_with_ids(tmp_path, monkeypatch):
+    gt, pred = scene_pair(strip_ids=True)
+    # the predictions that the sweep's scene links, at the headline's radius
+    linked = evaluate_detailed(gt, pred, EvalConfig(6.0)).pred_with_ids
+    calls = count_calls(monkeypatch, metrics, "match_frame")
+    run_sweep(tmp_path, gt, pred, "--alpha-sweep", "2:12:2")
+    nameless = calls["match_frame"]
+    run_sweep(tmp_path, gt, linked, "--alpha-sweep", "2:12:2")
+    # every radius reads one set of memos, so a frame whose pair count two
+    # radii share is matched once
+    assert calls["match_frame"] - nameless == nameless
 
 
 def assert_a_repeated_radius_makes_no_new_match(monkeypatch, gt, pred):
@@ -292,7 +334,7 @@ def test_scene_must_belong_to_the_pair_and_cover_the_radius():
 def test_a_repeated_radius_scores_no_view_again(monkeypatch, per_class, strip_ids):
     gt, pred = scene_pair(per_class, strip_ids)
     radii = (6.0, 2.0, 6.0, 12.0, 2.0)
-    scene = Scene(gt, pred, max(radii))
+    scene = Scene(gt, pred, radii[0], radii)
     calls = count_calls(monkeypatch, metrics, "idf1", "build_association_tally")
     shared, counts = [], []
     for alpha in radii:
@@ -302,7 +344,8 @@ def test_a_repeated_radius_scores_no_view_again(monkeypatch, per_class, strip_id
     # the second visits of 6 and 2 find every view already scored
     assert counts[2] == counts[1] and counts[4] == counts[3]
     for alpha, result in zip(radii, shared):
-        assert result == evaluate_detailed(gt, pred, EvalConfig(alpha, per_class))
+        config = EvalConfig(alpha, per_class)
+        assert_scores_the_linked_predictions(result, gt, pred, radii[0], config)
 
 
 @pytest.mark.parametrize("per_class", [False, True])
@@ -310,7 +353,7 @@ def test_a_repeated_radius_scores_no_view_again(monkeypatch, per_class, strip_id
 def test_a_repeated_radius_classifies_no_frame_column_again(monkeypatch, per_class, strip_ids):
     gt, pred = scene_pair(per_class, strip_ids)
     radii = (6.0, 2.0, 6.0, 12.0, 2.0, 12.0)
-    scene = Scene(gt, pred, max(radii))
+    scene = Scene(gt, pred, radii[0], radii)
     calls = count_calls(monkeypatch, metrics, "classify_correspondence")
     shared, counts = [], []
     for alpha in radii:
@@ -322,7 +365,8 @@ def test_a_repeated_radius_classifies_no_frame_column_again(monkeypatch, per_cla
     # the second visits of 6, 2 and 12 find every column already classified
     assert counts[2] == counts[1] and counts[4] == counts[3] and counts[5] == counts[4]
     for alpha, result in zip(radii, shared):
-        assert result == evaluate_detailed(gt, pred, EvalConfig(alpha, per_class))
+        config = EvalConfig(alpha, per_class)
+        assert_scores_the_linked_predictions(result, gt, pred, radii[0], config)
 
 
 def test_a_view_scored_under_one_zero_tp_policy_is_not_reused_under_another():
