@@ -61,7 +61,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="score a prediction file against ground truth")
     ev.add_argument("--gt", required=True, help="ground-truth dataset (JSON)")
     ev.add_argument("--pred", required=True, help="prediction dataset (JSON)")
-    ev.add_argument("--alpha", type=float, default=6.0, help="detection radius in pixels")
+    ev.add_argument(
+        "--alpha", type=float, default=EvalConfig.alpha, help="detection radius in pixels"
+    )
     ev.add_argument(
         "--assign-ids",
         action="store_true",
@@ -104,12 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--gt", required=True)
     va.add_argument("--pred", required=True)
     return parser
-
-
-def _load(path: str, role: Role):
-    if not Path(path).exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    return parse_dataset(path, role)
 
 
 def _parse_sweep(spec: str) -> list[float]:
@@ -179,8 +175,8 @@ def _write_files(outputs: dict[str, str]) -> bool:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     try:
-        gt = _load(args.gt, Role.GROUND_TRUTH)
-        pred = _load(args.pred, Role.PREDICTION)
+        gt = parse_dataset(args.gt, Role.GROUND_TRUTH)
+        pred = parse_dataset(args.pred, Role.PREDICTION)
     except (OSError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -333,8 +329,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        gt = _load(args.gt, Role.GROUND_TRUTH)
-        pred = _load(args.pred, Role.PREDICTION)
+        gt = parse_dataset(args.gt, Role.GROUND_TRUTH)
+        pred = parse_dataset(args.pred, Role.PREDICTION)
     except (OSError, DatasetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -177,20 +177,15 @@ class EvalConfig:
 
     ``alpha`` is the detection radius in pixels, positive and finite; a
     prediction counts as a true positive only when its distance to the
-    ground truth is strictly below it. ``zero_tp_policy``, within [0, 1], is the
-    score assigned to the association and correspondence accuracies when no
-    true positive exists at all.
+    ground truth is strictly below it.
     """
 
     alpha: float = 6.0
     per_class: bool = False
-    zero_tp_policy: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
-        if not 0.0 <= self.zero_tp_policy <= 1.0:
-            raise ValueError("zero_tp_policy must be within [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,19 @@ and of the tied sets the one kept gives the rows, taken in key order, the
 smallest column keys. A key is a position ``(x, y)`` first and an id only
 after it: ``match_frame`` keys each point by its ``(x, y)``, then its id,
 and the linker keys its id-less points by ``(x, y)`` and its identities by
-their last position, then id. The rule splits by connected component of
-the graph the pairs form, so ``solve_assignment`` solves each component on
-its own. A point farther than the radius from every other, or one in
-another component, cannot move a match, and neither can the order of the
-input; renaming ids can only decide between points at one position.
+their last position, then id; points with one key, such as two id-less
+points at one place, go in input order. The rule splits by connected
+component of the graph the pairs form, so ``solve_assignment`` solves each
+component on its own. A point farther than the radius from every other, or
+one in another component, cannot move a match. The order of the input can
+decide only between points with one key, and renaming ids only between
+points at one position.
 
 Both kernels are exact. ``near_pairs`` tests only the points in an x-sorted
 band around each row, and ``_hungarian`` scans only the columns not yet on
-its augmenting path. Each returns, bit for bit, what testing every pair and
-scanning every column return (``tests/oracles.py`` keeps both plain loops).
+its augmenting path. The first finds, bit for bit, the pairs and distances
+that testing every pair finds, and the second returns what scanning every
+column returns (``tests/oracles.py`` keeps both plain loops).
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ def near_pairs(
 ) -> list[tuple[float, int, int]]:
     """Every pair closer than ``alpha`` as (distance, index in a, index in b).
 
-    Pairs come in row-major order. The distance is
+    Rows come in order, and a row's pairs in the x order of ``points_b``;
+    no caller reads the order within a row. The distance is
     ``math.hypot(a.x - b.x, a.y - b.y)``, the cost of assigning the pair.
 
     ``points_b`` is sorted by x once, and each row tests only the points
@@ -86,14 +90,10 @@ def near_pairs(
             if d < alpha:
                 pairs.append((d, r, c))
         elif hi > lo:
-            hits = []
             for bx, c, by in order[lo:hi]:
                 d = hypot(ax - bx, ay - by)
                 if d < alpha:
-                    hits.append((c, d))
-            hits.sort()
-            for c, d in hits:
-                pairs.append((d, r, c))
+                    pairs.append((d, r, c))
     return pairs
 
 
@@ -191,7 +191,7 @@ def solve_assignment(
        apart than ``B`` is never kept;
     2. of those, gives the rows, taken in the order of ``row_key``, the
        smallest columns in the order of ``col_key``, a row without a pair
-       coming after every column.
+       coming after every column. Rows or columns with one key go in index order.
 
     The gains add up over the connected components of the graph that the
     pairs form, and the first row where two sets differ lies in one
@@ -261,9 +261,9 @@ def solve_assignment(
             least = min(d for d, _, _ in edges)
             nearest = [(r, c) for d, r, c in edges if d == least]
             if n_rows == 1:
-                r, c = min(nearest, key=lambda rc: col_key(rc[1]))
+                r, c = min(nearest, key=lambda rc: (col_key(rc[1]), rc[1]))
             else:
-                r, c = min(nearest, key=lambda rc: row_key(rc[0]))
+                r, c = min(nearest, key=lambda rc: (row_key(rc[0]), rc[0]))
             kept.append((r, c, least))
         else:
             kept.extend(_solve_component(edges, bound, row_key, col_key))
@@ -278,8 +278,9 @@ def _solve_component(
     col_key: Callable[[int], Any],
 ) -> list[tuple[int, int, float]]:
     """The pairs ``first_min_cost`` keeps of one component (see ``solve_assignment``)."""
-    rows = sorted({r for _, r, _ in edges}, key=row_key)
-    cols = sorted({c for _, _, c in edges}, key=col_key)
+    # points with one key go in index order, whatever order the pairs came in
+    rows = sorted({r for _, r, _ in edges}, key=lambda r: (row_key(r), r))
+    cols = sorted({c for _, _, c in edges}, key=lambda c: (col_key(c), c))
     row_at = {r: i for i, r in enumerate(rows)}
     col_at = {c: j for j, c in enumerate(cols)}
     n_cols = len(cols)

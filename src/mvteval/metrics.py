@@ -238,7 +238,6 @@ def _jaccard_values(terms: Sequence[tuple[int, int, int]]) -> list[float]:
 
 
 def _column_sums(terms: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
-    # a loop, not zip(*terms): one iterator per term sets the collector off
     h_sum = a_sum = b_sum = 0
     for h, a, b in terms:
         h_sum += h
@@ -247,8 +246,9 @@ def _column_sums(terms: Sequence[tuple[int, int, int]]) -> tuple[int, int, int]:
     return h_sum, a_sum, b_sum
 
 
-def _mean(values: Sequence[float], empty: float) -> float:
-    return fsum(values) / len(values) if values else empty
+def _mean(values: Sequence[float]) -> float:
+    """Exactly rounded mean; 0 for no values, as HOTA's AssA is without true positives."""
+    return fsum(values) / len(values) if values else 0.0
 
 
 def _macro(items: Iterable[Any], attr: str) -> float | None:
@@ -344,24 +344,24 @@ def idf1(n_gt: int, n_pred: int, hits: Counter[tuple[str, str]]) -> float | None
     lie within the detection radius. Identities are paired one-to-one to
     maximise the hits kept; that sum is IDTP and the remaining observations
     are identity errors. An id without a hit adds nothing to IDTP, so only
-    ids with one enter the assignment.
+    ids with one enter the assignment, in order of first hit; every optimum
+    of the negated hits keeps the same total, whatever the order.
     """
     if not n_gt and not n_pred:
         return None
     idtp = 0
     if hits:
-        gt_order = sorted({g for g, _ in hits})
-        pred_order = sorted({p for _, p in hits})
-        ceiling = max(hits.values())
+        gt_order = list(dict.fromkeys(g for g, _ in hits))
+        pred_order = list(dict.fromkeys(p for _, p in hits))
         # .get, not hits[...]: a Counter's missing key costs a Python call
         get = hits.get
-        costs = tuple(tuple(ceiling - get((g, p), 0) for p in pred_order) for g in gt_order)
-        idtp = sum(get((gt_order[r], pred_order[c]), 0) for r, c in minimize_cost(costs))
+        costs = tuple(tuple(-get((g, p), 0) for p in pred_order) for g in gt_order)
+        idtp = -sum(costs[r][c] for r, c in minimize_cost(costs))
     return 2 * idtp / (n_gt + n_pred)
 
 
 def occlusion_index(gt: Dataset) -> OcclusionReport:
-    """Occlusion indices of a ground-truth dataset, read from its view masks."""
+    """Occlusion indices of a ground-truth dataset, read from its view masks in any order."""
     if gt.role is not Role.GROUND_TRUTH:
         raise ValueError("occlusion_index expects a ground-truth dataset")
     if not gt.points:
@@ -371,11 +371,10 @@ def occlusion_index(gt: Dataset) -> OcclusionReport:
     full = sum(1 for mask in masks.values() if mask.bit_count() == gt.n_views)
     simple = 1.0 - full / len(masks)
 
-    # id -> the view mask of each frame where it has a point, in frame order
+    # id -> the view mask of each frame where it has a point
     tracks: dict[str, list[int]] = {}
-    for frame, gid in sorted(masks):
-        tracks.setdefault(gid, []).append(masks[frame, gid])
-    ids = sorted(tracks)
+    for (_, gid), mask in masks.items():
+        tracks.setdefault(gid, []).append(mask)
     n, m = gt.n_frames, gt.n_views
 
     weighted = []
@@ -383,12 +382,12 @@ def occlusion_index(gt: Dataset) -> OcclusionReport:
     for v in range(m):
         w_values = []
         t_values = []
-        for gid in ids:
+        for track in tracks.values():
             # an int sum of view counts, divided once, rounds alike in every
             # frame order
             acc = 0
             seen = 0
-            for mask in tracks[gid]:
+            for mask in track:
                 if mask >> v & 1:
                     acc += mask.bit_count()
                     seen += 1
@@ -397,7 +396,7 @@ def occlusion_index(gt: Dataset) -> OcclusionReport:
         weighted.append(fsum(w_values) / len(w_values))
         temporal.append(fsum(t_values) / len(t_values))
 
-    mv_values = [1.0 - fsum(mask.bit_count() / m for mask in tracks[gid]) / n for gid in ids]
+    mv_values = [1.0 - fsum(mask.bit_count() / m for mask in track) / n for track in tracks.values()]
     return OcclusionReport(
         simple=simple,
         weighted_per_view=tuple(weighted),
@@ -432,11 +431,11 @@ class Scene:
     A radius therefore enters scoring only through its pair-count grid: how
     many pairs each (view, frame) has within it. The memos are keyed by the
     part of the grid their result reads: a frame's match and IDF1 hits by
-    its count, a view's result by ``zero_tp_policy`` and the view's row of
-    counts, and a frame column's correspondence and distances by the column
-    of counts. A radius whose key is one already scored gets that result
-    back. Each part is built on first use; the frame counts and view masks
-    are the datasets' own.
+    its count, a view's result by the view's row of counts, and a frame
+    column's correspondence and distances by the column of counts. A radius
+    whose key is one already scored gets that result back. Each part is
+    built on first use; the frame counts and view masks are the datasets'
+    own.
     """
 
     def __init__(self, gt: Dataset, pred: Dataset, alpha: float, sweep: Iterable[float] = ()):
@@ -456,7 +455,7 @@ class Scene:
         # (view, frame, pair count) -> the frame's match and its IDF1 (gt id,
         # pred id) hits
         self._frames: dict[tuple[int, int, int], tuple[FrameMatch, tuple]] = {}
-        # (zero_tp_policy, view, its pair counts) -> ViewResult
+        # (view, its pair counts) -> ViewResult
         self._views: dict[tuple, ViewResult] = {}
         # (frame, its pair count in each view) -> ColumnResult
         self._columns: dict[tuple, ColumnResult] = {}
@@ -552,7 +551,7 @@ def evaluate_detailed(
         if config.per_class:
             return _evaluate_per_class(scene, config)
 
-        gt, alpha, policy = scene.gt, config.alpha, config.zero_tp_policy
+        gt, alpha = scene.gt, config.alpha
         n_views, n_frames = scene.n_views, scene.n_frames
         pred, views, columns = scene.pred_with_ids, scene._views, scene._columns
         all_pairs = scene.pairs
@@ -570,7 +569,7 @@ def evaluate_detailed(
         per_view: list[PerViewScores] = []
         rows: list[list[FrameMatch]] = []
         for v, row_counts in enumerate(counts):
-            key = (policy, v, row_counts)
+            key = (v, row_counts)
             entry = views.get(key)
             if entry is None:
                 entry = views[key] = _score_view(scene, v, row_counts, config)
@@ -611,9 +610,9 @@ def evaluate_detailed(
         tpa, fna, fpa = _column_sums(ass_sums)
         tpc, fpc, fnc = _column_sums(corres_sums)
         det_acc, precision, recall, _ = detection_scores(tp, fp, fn)
-        ass = _mean(ass_values, policy)
-        corres = _mean(corres_values, policy)
-        loc_acc = _mean(distances, 0.0)
+        ass = _mean(ass_values)
+        corres = _mean(corres_values)
+        loc_acc = _mean(distances)
 
         report = MetricReport(
             alpha=alpha,
@@ -687,7 +686,7 @@ def _score_view(scene: Scene, v: int, counts: Sequence[int], config: EvalConfig)
     # per-(view, id) frame counts
     ass_terms = build_association_tally(gt.frame_counts, pred.frame_counts, row)
     v_values = _jaccard_values(ass_terms)
-    v_ass = _mean(v_values, config.zero_tp_policy)
+    v_ass = _mean(v_values)
     v_det_acc, _, _, v_f1 = detection_scores(v_tp, v_fp, v_fn)
     v_idsw = count_id_switches(row)
     scores = PerViewScores(
@@ -716,7 +715,9 @@ def _evaluate_per_class(scene: Scene, config: EvalConfig) -> EvaluationResult:
         sub_reports[key] = result.report
         all_matches.extend(result.matches)
 
-    reports = [sub_reports[k] for k in sorted(sub_reports)]
+    # every macro is an fsum, every tally an int sum and the sizes maxima, so
+    # the class order changes none of them
+    reports = sub_reports.values()
     occlusions = [r.occlusion for r in reports]
     occ = OcclusionReport(
         simple=_macro(occlusions, "simple"),

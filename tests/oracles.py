@@ -326,7 +326,7 @@ def oracle_evaluate(gt: Dataset, pred: Dataset, config: EvalConfig | None = None
     ass_acc = (
         fsum(ass_score(v, g, p) for v, _, g, p, _ in tp_all) / tp_count
         if tp_count
-        else config.zero_tp_policy
+        else 0.0
     )
 
     # Cross-view correspondence, per true positive.
@@ -342,7 +342,7 @@ def oracle_evaluate(gt: Dataset, pred: Dataset, config: EvalConfig | None = None
     corres_acc = (
         fsum(corres_score(v, f, g, p) for v, f, g, p, _ in tp_all) / tp_count
         if tp_count
-        else config.zero_tp_policy
+        else 0.0
     )
 
     mv_hota = (det_acc * ass_acc * corres_acc) ** (1.0 / 3.0)
@@ -380,7 +380,7 @@ def oracle_evaluate(gt: Dataset, pred: Dataset, config: EvalConfig | None = None
         v_ass = (
             fsum(ass_score(v, g, p) for _, _, g, p, _ in v_tp) / len(v_tp)
             if v_tp
-            else config.zero_tp_policy
+            else 0.0
         )
         hotas.append(math.sqrt(v_det * v_ass))
 

@@ -198,16 +198,6 @@ def test_eval_config_rejects_a_non_finite_alpha(alpha):
     assert EvalConfig(alpha=1e9).alpha == 1e9
 
 
-@pytest.mark.parametrize("policy", [-0.1, 1.5, math.nan, math.inf])
-def test_eval_config_rejects_a_zero_tp_policy_outside_the_unit_interval(policy):
-    from mvteval.core import EvalConfig
-
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        EvalConfig(zero_tp_policy=policy)
-    assert EvalConfig(zero_tp_policy=0.0).zero_tp_policy == 0.0
-    assert EvalConfig(zero_tp_policy=1.0).zero_tp_policy == 1.0
-
-
 def test_validate_identical_pair_is_clean():
     gt, pred = generate(SynthConfig(n_views=2, n_frames=4, n_points=3, seed=1))
     report = validate_pair(gt, pred)

@@ -317,6 +317,34 @@ def test_solve_assignment_reaches_the_optimum_scipy_finds(gts, preds, alpha):
         assert math.isclose(kept, want, rel_tol=1e-12)
 
 
+@st.composite
+def tie_keyed(draw, pairs):
+    """(pairs, row key, column key), the keys drawn from three values, so
+    that many rows and columns share one."""
+    pairs = draw(pairs)
+    few = st.integers(0, 2)
+    row_keys = {r: draw(few) for r in sorted({r for _, r, _ in pairs})}
+    col_keys = {c: draw(few) for c in sorted({c for _, _, c in pairs})}
+    return pairs, row_keys.__getitem__, col_keys.__getitem__
+
+
+# 15 points a side: rows 1 and 9 can share a slot of a small set
+@given(
+    tie_keyed(
+        st.one_of(
+            pairs_of_points(),
+            pairs_of_points(max_points=15).filter(lambda pairs: len(pairs) <= 30),
+        )
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_rows_and_columns_with_one_key_go_in_index_order(case):
+    pairs, row_key, col_key = case
+    got = solve_assignment(pairs, DIMS, row_key, col_key)
+    by_key_then_index = (lambda r: (row_key(r), r)), (lambda c: (col_key(c), c))
+    assert got == canonical_assignment(pairs, BOUND, *by_key_then_index)
+
+
 def test_solve_assignment_keeps_a_pair_just_below_the_bound():
     # one ulp below the bound a pair's gain is tiny, but positive
     pairs = [(math.nextafter(BOUND, 0), 0, 1)]
@@ -503,8 +531,11 @@ def band_edge_points(draw):
 @given(band_edge_points())
 @settings(max_examples=600, deadline=None)
 def test_near_pairs_equals_the_double_loop(case):
+    # the same pairs with the same distances; a row's pairs may come in any order
     got, want = near_pairs(*case), near_pairs_oracle(*case)
-    assert [(r, c, d.hex()) for d, r, c in got] == [(r, c, d.hex()) for d, r, c in want]
+    assert sorted((r, c, d.hex()) for d, r, c in got) == [(r, c, d.hex()) for d, r, c in want]
+    rows = [r for _, r, _ in got]
+    assert rows == sorted(rows)
 
 
 @st.composite
@@ -819,6 +850,30 @@ def test_linker_on_a_long_id_less_sequence_equals_the_oracle(monkeypatch):
     assert fast.report == searched.report
     assert fast.matches == searched.matches
     assert fast.pred_with_ids.points == searched.pred_with_ids.points
+
+
+@pytest.mark.parametrize("seed", [38, 65])
+def test_the_order_of_a_rows_pairs_reaches_no_linked_id(monkeypatch, seed):
+    # crowded frames of id-less points, many of them at one place: which of
+    # two coincident points takes which id follows their input order, not
+    # the order in which a row's pairs come
+    rng = random.Random(seed)
+    points = [
+        Point(
+            0, f, rng.randrange(6) * 1.5 + rng.random() * (rng.random() < 0.3), rng.randrange(6) * 1.5
+        )
+        for f in range(3)
+        for _ in range(rng.randint(30, 60))
+    ]
+    pred = Dataset(1, 3, 64, 48, tuple(points), Role.PREDICTION)
+    want = assign_temporal_ids(pred, EvalConfig(1.0))
+    in_x_order = matching.near_pairs
+    monkeypatch.setattr(
+        matching,
+        "near_pairs",
+        lambda a, b, alpha: sorted(in_x_order(a, b, alpha), key=lambda t: (t[1], -t[2])),
+    )
+    assert assign_temporal_ids(pred, EvalConfig(1.0)) == want
 
 
 def test_assignment_is_deterministic():

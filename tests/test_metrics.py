@@ -154,13 +154,14 @@ def test_association_split_track_hand_value():
     assert evaluate(gt, pred, CONFIG).ass_acc == pytest.approx(0.52)
 
 
-def test_association_zero_tp_policy():
+def test_no_true_positive_scores_zero_accuracies():
+    # as HOTA's AssA is without true positives; DetAcc is 0 then anyway
     gt = dataset([gt_point(10, 10, "g")], n_views=1, n_frames=1)
     pred = dataset([], n_views=1, n_frames=1, role=Role.PREDICTION)
     report = evaluate(gt, pred, CONFIG)
-    assert report.ass_acc == 0.0
-    custom = evaluate(gt, pred, EvalConfig(alpha=6.0, zero_tp_policy=1.0))
-    assert custom.ass_acc == 1.0
+    assert report.ass_acc == report.corres_acc == 0.0
+    assert report.mv_hota == report.hota == 0.0
+    assert [view.ass_acc for view in report.per_view] == [0.0]
 
 
 def test_ass_tally_counts():
@@ -488,6 +489,9 @@ def test_idf1_takes_the_largest_overlap_of_any_injection(case):
         for ps in itertools.permutations(pred_ids, size)
     )
     assert metrics.idf1(n_gt, n_pred, hits) == 2 * best / (n_gt + n_pred)
+    # ids enter the assignment in order of first hit, which changes nothing
+    reversed_hits = Counter(dict(reversed(hits.items())))
+    assert metrics.idf1(n_gt, n_pred, reversed_hits) == 2 * best / (n_gt + n_pred)
 
 
 # ---------------------------------------------------------------------------
@@ -1034,7 +1038,7 @@ def test_the_report_applies_the_term_functions_to_its_matches(scene, strip_ids):
         sums = tuple(sum(column) for column in zip(*terms)) if terms else (0, 0, 0)
         assert sums == tuple(report.tallies[k] for k in keys)
         values = [h / (h + a + b) if h + a + b else 1.0 for h, a, b in terms]
-        assert acc == (math.fsum(values) / len(values) if values else CONFIG.zero_tp_policy)
+        assert acc == (math.fsum(values) / len(values) if values else 0.0)
 
 
 @pytest.mark.parametrize("strip_ids", [False, True])

@@ -367,18 +367,3 @@ def test_a_repeated_radius_classifies_no_frame_column_again(monkeypatch, per_cla
     for alpha, result in zip(radii, shared):
         config = EvalConfig(alpha, per_class)
         assert_scores_the_linked_predictions(result, gt, pred, radii[0], config)
-
-
-def test_a_view_scored_under_one_zero_tp_policy_is_not_reused_under_another():
-    # view 0 has a true positive, view 1 a miss and a far false positive
-    points = [Point(0, 0, 10.0, 10.0, "g"), Point(1, 0, 10.0, 10.0, "g")]
-    gt = Dataset(2, 1, 64, 48, tuple(points), Role.GROUND_TRUTH)
-    pred = Dataset(
-        2, 1, 64, 48, (Point(0, 0, 11.0, 10.0, "p"), Point(1, 0, 50.0, 40.0, "p")), Role.PREDICTION
-    )
-    scene = Scene(gt, pred, 6.0)
-    for policy in (0.0, 1.0, 0.25, 0.0):
-        config = EvalConfig(alpha=6.0, zero_tp_policy=policy)
-        shared = evaluate_detailed(gt, pred, config, scene=scene)
-        assert shared == evaluate_detailed(gt, pred, config)
-        assert [view.ass_acc for view in shared.report.per_view] == [1.0, policy]
