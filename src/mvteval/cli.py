@@ -11,8 +11,9 @@ point or that gives more than 10,000 radii, flags that do not combine:
 unreadable or malformed input, or an output that cannot be written (then
 none is, and an output path that is a directory is refused before any is
 written). Machine-readable output is a pure function of inputs and flags;
---meta opts into provenance fields. A CSV report has one row per class
-and radius scored; see ``MetricReport.to_csv``.
+--meta opts into provenance fields. A table or CSV report has one row per
+class and radius scored (see ``MetricReport.to_csv``), and a --dump-matches
+file lists each frame's ids sorted, whatever the order of the points.
 
 Each call of ``main`` runs with Python's cyclic garbage collector paused,
 from parsing the arguments to writing the report, and restores its state
@@ -46,7 +47,6 @@ from .core import (
 from .metrics import EvaluationError, MetricReport, Scene, evaluate_detailed, occlusion_index
 from .synth import SynthConfig, generate
 
-_SWEEP_KEYS = ("alpha",) + MetricReport._COLUMNS + ("loc_acc",)
 # the most radii one --alpha-sweep may ask for: the list is built before any is scored
 _SWEEP_LIMIT = 10_000
 
@@ -240,9 +240,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             {
                 "view": m.view,
                 "frame": m.frame,
-                "tp": [{"gt": g, "pred": p, "distance": d} for g, p, d in m.tp_pairs],
-                "fp": list(m.fp_ids),
-                "fn": list(m.fn_ids),
+                "tp": [{"gt": g, "pred": p, "distance": d} for g, p, d in sorted(m.tp_pairs)],
+                "fp": sorted(m.fp_ids),
+                "fn": sorted(m.fn_ids),
             }
             for m in result.matches
         ]
@@ -257,7 +257,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         payload = report.to_dict()
         payload["validation"] = validation.to_dict()
         if sweep:
-            payload["alpha_sweep"] = [{k: getattr(r, k) for k in _SWEEP_KEYS} for r in sweep]
+            payload["alpha_sweep"] = [{k: getattr(r, k) for k in r._SWEEP_KEYS} for r in sweep]
         if args.meta:
             payload["meta"] = {
                 "tool": "mvteval",
@@ -270,13 +270,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         text = report.to_csv(sweep)
     else:
-        text = report.to_table()
-        if sweep:
-            text += "\nalpha sweep:\n" + "".join(
-                f"  alpha={r.alpha:g}  det_acc={r.det_acc:.4f}  ass_acc={r.ass_acc:.4f}  "
-                f"corres_acc={r.corres_acc:.4f}  mv_hota={r.mv_hota:.4f}\n"
-                for r in sweep
-            )
+        text = report.to_table(sweep)
     if args.output:
         outputs[args.output] = text
     if not _write_files(outputs):

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from math import fsum
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .core import Dataset, EvalConfig, IdMap, Role, _CollectorPaused, remap_gt_ids
 from .matching import (
@@ -101,6 +101,8 @@ class MetricReport:
     # the table's columns, then every other score, in output order
     _COLUMNS = ("mota", "idf1", "f1", "det_acc", "ass_acc", "hota", "corres_acc", "mv_hota")
     _SCORES = _COLUMNS + ("precision", "recall", "loc_acc")
+    # the keys of a JSON ``alpha_sweep`` row
+    _SWEEP_KEYS = ("alpha",) + _COLUMNS + ("loc_acc",)
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -118,27 +120,28 @@ class MetricReport:
             }
         return out
 
-    def to_table(self) -> str:
-        header = ("MOTA", "IDF1", "F1", "DetAcc", "AssAcc", "HOTA", "CorresAcc", "mvHOTA")
-        values = [_fmt(getattr(self, col)) for col in self._COLUMNS]
-        widths = [max(len(h), len(v)) for h, v in zip(header, values)]
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-            "  ".join(v.ljust(w) for v, w in zip(values, widths)),
+    def to_table(self, sweep: Sequence[MetricReport] = ()) -> str:
+        """The rows of ``to_csv``: its leading cells, then the scores MOTA to mvHOTA.
+
+        A radius is written as ``{:g}``, a score at 4 decimals and ``None``
+        as ``n/a``. This report's other scores follow the rows.
+        """
+        header, *rows = self._rows(sweep)
+        lead = header.index(self._COLUMNS[0])  # the class and alpha cells
+        names = ["MOTA", "IDF1", "F1", "DetAcc", "AssAcc", "HOTA", "CorresAcc", "mvHOTA"]
+        table = [header[:lead] + names]
+        for row in rows:
+            cells = [c if isinstance(c, str) else f"{c:g}" for c in row[:lead]]
+            table.append(cells + [_fmt(v) for v in row[lead : lead + len(names)]])
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in table]
+        lines += [
             "",
             f"precision={_fmt(self.precision)}  recall={_fmt(self.recall)}  "
             f"loc_acc={_fmt(self.loc_acc)}px",
             f"occlusion_index={_fmt(self.occlusion.simple)}  "
             f"weighted={_fmt(self.occlusion.weighted_mean)}",
         ]
-        if self.per_class:
-            for label in sorted(self.per_class):
-                sub = self.per_class[label]
-                row = "  ".join(
-                    _fmt(getattr(sub, col)).ljust(w)
-                    for col, w in zip(self._COLUMNS, widths)
-                )
-                lines.append(f"[{label}] {row}")
         return "\n".join(lines) + "\n"
 
     def to_csv(self, sweep: Sequence[MetricReport] = ()) -> str:
@@ -153,16 +156,17 @@ class MetricReport:
         import io
 
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
+        csv.writer(out, lineterminator="\n").writerows(self._rows(sweep))
+        return out.getvalue()
+
+    def _rows(self, sweep: Sequence[MetricReport]) -> Iterator[list[Any]]:
+        """The header and rows of ``to_csv``, its cells unformatted."""
         by_class = self.per_class is not None
-        writer.writerow(
-            ("class",) * by_class + ("alpha",) * bool(sweep) + self._SCORES + ("occlusion_index",)
-        )
+        yield ["class"] * by_class + ["alpha"] * bool(sweep) + [*self._SCORES, "occlusion_index"]
         for macro in (self, *sweep):
             for label, report in [("", macro), *sorted((macro.per_class or {}).items())]:
                 scores = [getattr(report, c) for c in self._SCORES] + [report.occlusion.simple]
-                writer.writerow([label] * by_class + [macro.alpha] * bool(sweep) + scores)
-        return out.getvalue()
+                yield [label] * by_class + [macro.alpha] * bool(sweep) + scores
 
 
 def _fmt(value: float | None) -> str:
@@ -173,12 +177,13 @@ def _fmt(value: float | None) -> str:
 class EvaluationResult:
     """Report plus the intermediates the pipeline produced on the way.
 
-    The matches carry the ground truth's own ids. ``pred_with_ids`` holds
-    the predictions the matches were made on: where any lacked an id, those
-    linked once, at the alpha of the scene scored, whatever the radius.
-    Under ``per_class`` it holds the predictions as given, not linked,
-    since each class links its own. ``id_map``, the per-view relabelling
-    of ``remap_gt_ids``, is built from ``gt`` on first access.
+    The matches carry the ground truth's own ids and list each frame's
+    pairs and ids in the order of its points, not sorted. ``pred_with_ids``
+    holds the predictions the matches were made on: where any lacked an
+    id, those linked once, at the alpha of the scene scored, whatever the
+    radius. Under ``per_class`` it holds the predictions as given, not
+    linked, since each class links its own. ``id_map``, the per-view
+    relabelling of ``remap_gt_ids``, is built from ``gt`` on first access.
     """
 
     report: MetricReport

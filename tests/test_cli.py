@@ -7,6 +7,7 @@ import errno
 import io
 import json
 import os
+import re
 import resource
 import shlex
 import subprocess
@@ -52,6 +53,22 @@ def scene(tmp_path):
     serialize_dataset(gt, gt_path)
     serialize_dataset(pred, pred_path)
     return gt_path, pred_path
+
+
+# the scene fixture's report as a table, without flags
+SCENE_TABLE = """\
+MOTA    IDF1    F1      DetAcc  AssAcc  HOTA    CorresAcc  mvHOTA
+0.8212  0.9174  0.9174  0.8537  0.9533  0.9011  1.0000     0.9336
+
+precision=0.8974  recall=0.9459  loc_acc=1.9190px
+occlusion_index=0.4583  weighted=0.3438
+"""
+
+
+def test_table_without_flags_is_byte_stable(scene, capsys):
+    gt_path, pred_path = scene
+    assert cli.main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path)]) == 0
+    assert capsys.readouterr().out == SCENE_TABLE
 
 
 def test_self_evaluation_prints_perfect_table(scene):
@@ -193,6 +210,19 @@ CSV_SCORES = [
     "mota", "idf1", "f1", "det_acc", "ass_acc", "hota", "corres_acc", "mv_hota",
     "precision", "recall", "loc_acc", "occlusion_index",
 ]
+TABLE_COLUMNS = ["MOTA", "IDF1", "F1", "DetAcc", "AssAcc", "HOTA", "CorresAcc", "mvHOTA"]
+
+
+def read_table(text):
+    """The header and rows of a table report, split at the header's column starts."""
+    header, *rows = text.split("\n\n")[0].split("\n")
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    spans = list(zip(starts, starts[1:] + [None]))
+    return [[line[a:b].rstrip() for a, b in spans] for line in (header, *rows)]
+
+
+def four_decimals(value):
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 @pytest.fixture
@@ -211,15 +241,21 @@ def labelled(scene, tmp_path):
     return paths
 
 
-@pytest.mark.parametrize("sweep", [False, True], ids=["headline", "sweep"])
+@pytest.mark.parametrize(
+    "sweep, fmt",
+    [(False, "csv"), (True, "csv"), (False, "table"), (True, "table")],
+    ids=["headline", "sweep", "headline-table", "sweep-table"],
+)
 @pytest.mark.parametrize("per_class", [False, True], ids=["macro", "per-class"])
-def test_csv_has_one_row_per_class_and_radius(labelled, capsys, per_class, sweep):
+def test_csv_has_one_row_per_class_and_radius(labelled, capsys, per_class, sweep, fmt):
     gt_path, pred_path = labelled
     flags = ["--per-class"] * per_class + ["--alpha-sweep", "2:12:2"] * sweep
-    argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--format", "csv", *flags]
+    argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--format", fmt, *flags]
     assert cli.main(argv) == 0
-    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
-    assert header == ["class"] * per_class + ["alpha"] * sweep + CSV_SCORES
+    out = capsys.readouterr().out
+    header, *rows = csv.reader(io.StringIO(out)) if fmt == "csv" else read_table(out)
+    columns = CSV_SCORES if fmt == "csv" else TABLE_COLUMNS
+    assert header == ["class"] * per_class + ["alpha"] * sweep + columns
 
     alphas = [6.0] + [2.0, 4.0, 6.0, 8.0, 10.0, 12.0] * sweep
     classes = ["", "(none)", "a,b", 'say "hi"'] if per_class else []
@@ -236,7 +272,15 @@ def test_csv_has_one_row_per_class_and_radius(labelled, capsys, per_class, sweep
         for sub in [report, *(report.per_class[c] for c in classes)]:
             scores = [getattr(sub, name) for name in CSV_SCORES[:-1]] + [sub.occlusion.simple]
             want.append([alpha] * sweep + scores)
-    got = [[None if cell == "" else float(cell) for cell in row[per_class:]] for row in rows]
+    if fmt == "table":
+        # the CSV's alpha cell as {:g} and its first eight scores at 4 decimals
+        want = [
+            [f"{row[0]:g}"] * sweep + [four_decimals(v) for v in row[sweep : sweep + 8]]
+            for row in want
+        ]
+        got = [row[per_class:] for row in rows]
+    else:
+        got = [[None if cell == "" else float(cell) for cell in row[per_class:]] for row in rows]
     assert got == want
 
 
@@ -282,6 +326,33 @@ def test_dump_matches(scene, tmp_path):
     gt_ids = {p.id for p in gt.points}
     matched = {pair["gt"] for e in entries for pair in e["tp"]}
     assert matched <= gt_ids  # dumped ids are the original global ones
+
+
+@pytest.mark.parametrize("flags", [[], ["--assign-ids"]], ids=["ids", "assign-ids"])
+def test_dump_matches_does_not_depend_on_the_file_order(tmp_path, flags):
+    gt, pred = generate(
+        SynthConfig(
+            n_views=2,
+            n_frames=6,
+            n_points=6,
+            pred_noise_sigma=1.5,
+            pred_miss_rate=0.3,
+            pred_fp_rate=1.0,
+            seed=5,
+        )
+    )
+    dumps = []
+    for order in (1, -1):
+        serialize_dataset(gt.with_points(gt.points[::order]), tmp_path / "gt.json")
+        serialize_dataset(pred.with_points(pred.points[::order]), tmp_path / "pred.json")
+        dump = tmp_path / f"matches{order}.json"
+        argv = ["evaluate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")]
+        assert cli.main([*argv, "--dump-matches", str(dump), *flags]) == 0
+        dumps.append(dump.read_bytes())
+    assert dumps[0] == dumps[1]
+    # some frame has two or more of each list, so that an order could show
+    entries = json.loads(dumps[0])
+    assert all(any(len(e[key]) > 1 for e in entries) for key in ("tp", "fp", "fn"))
 
 
 def test_alpha_sweep_json(scene):

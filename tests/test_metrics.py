@@ -1288,3 +1288,16 @@ def test_report_serialization_shape():
     assert "mvHOTA" in table and "CorresAcc" in table
     csv = report.to_csv()
     assert csv.count("\n") == 2
+
+
+def test_table_reads_an_undefined_score_as_n_a():
+    # without ground truth MOTA and the occlusion indices are undefined
+    gt = dataset([], n_views=1, n_frames=1)
+    pred = dataset([gt_point(10, 10, "p")], n_views=1, n_frames=1, role=Role.PREDICTION)
+    assert evaluate(gt, pred, CONFIG).to_table() == (
+        "MOTA  IDF1    F1      DetAcc  AssAcc  HOTA    CorresAcc  mvHOTA\n"
+        "n/a   0.0000  0.0000  0.0000  0.0000  0.0000  0.0000     0.0000\n"
+        "\n"
+        "precision=0.0000  recall=0.0000  loc_acc=0.0000px\n"
+        "occlusion_index=n/a  weighted=n/a\n"
+    )

@@ -20,7 +20,7 @@ from mvteval import cli, matching, metrics
 from mvteval.core import (
     Dataset, EvalConfig, Point, Role, dataset_from_dict, parse_dataset, serialize_dataset,
 )
-from mvteval.metrics import Scene, evaluate, evaluate_detailed
+from mvteval.metrics import MetricReport, Scene, evaluate, evaluate_detailed
 from mvteval.synth import SynthConfig, generate
 
 # a 64 x 48 image: its diagonal, 80 px, lies inside the sweeps below
@@ -117,7 +117,7 @@ def test_every_sweep_row_equals_a_fresh_evaluation(tmp_path, per_class, assign_i
     for row in payload["alpha_sweep"]:
         config = EvalConfig(alpha=row["alpha"], per_class=per_class)
         shared = evaluate_detailed(gt, pred, config, scene=scene)
-        assert row == {k: getattr(shared.report, k) for k in cli._SWEEP_KEYS}
+        assert row == {k: getattr(shared.report, k) for k in MetricReport._SWEEP_KEYS}
         assert_scores_the_linked_predictions(shared, gt, pred, 6.0, config)
 
     # the headline is the report of its own radius, sweep or no sweep
